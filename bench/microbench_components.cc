@@ -69,14 +69,15 @@ BM_FunctionalInterpreter(benchmark::State &state)
 {
     BenchmarkSpec spec = findBenchmark("perlbench-like");
     spec.iterations = 1000;
+    int64_t insts = 0;
     for (auto _ : state) {
         BuiltKernel k = buildKernel(spec, kTrainSeed);
         Interpreter interp(k.fn, *k.mem);
         RunResult r = interp.run();
         benchmark::DoNotOptimize(r.dynamicInsts);
-        state.SetItemsProcessed(state.items_processed() +
-                                static_cast<int64_t>(r.dynamicInsts));
+        insts += static_cast<int64_t>(r.dynamicInsts);
     }
+    state.SetItemsProcessed(insts);
 }
 BENCHMARK(BM_FunctionalInterpreter)->Unit(benchmark::kMillisecond);
 
@@ -88,12 +89,13 @@ BM_TimingSimulator(benchmark::State &state)
     VanguardOptions opts;
     TrainArtifacts train = trainBenchmark(spec, opts);
     CompiledConfig exp = compileConfig(spec, train, true, opts);
+    int64_t insts = 0;
     for (auto _ : state) {
         SimStats s = simulateConfig(spec, exp, opts, kRefSeeds[0]);
         benchmark::DoNotOptimize(s.cycles);
-        state.SetItemsProcessed(state.items_processed() +
-                                static_cast<int64_t>(s.dynamicInsts));
+        insts += static_cast<int64_t>(s.dynamicInsts);
     }
+    state.SetItemsProcessed(insts);
 }
 BENCHMARK(BM_TimingSimulator)->Unit(benchmark::kMillisecond);
 

@@ -9,9 +9,9 @@
  *   2. compile — one job per (benchmark, width): both configurations,
  *   3. simulate — one job per (benchmark, width, config, seed),
  *      grouped into one work item per (benchmark, width, config) so
- *      eligible groups share a batched fast-path dispatch loop
- *      (RunnerOptions::batchLanes); each seed builds its own Memory
- *      and predictor and reads the phase-2 CompiledConfig strictly
+ *      an isolated worker compiles the group's artifact once and
+ *      reuses it for every seed; each seed builds its own Memory and
+ *      predictor and reads the phase-2 CompiledConfig strictly
  *      read-only,
  *   4. assemble — single-threaded, in index order.
  *
@@ -137,25 +137,9 @@ struct RunnerOptions
      * bookkeeping (journal, metrics, result slots, retries) stays
      * local, so output is byte-identical to the in-process and
      * --isolate-jobs paths. Mutually exclusive with
-     * JobIsolation::process; disables simulate batching (remote bodies
-     * are solo, like process mode). Not owned.
+     * JobIsolation::process. Not owned.
      */
     Coordinator *coordinator = nullptr;
-
-    /**
-     * Maximum REF-seed lanes per batched simulation (1 disables
-     * batching). The simulate phase groups the seed jobs of each
-     * (benchmark, width, config) and drives eligible groups through
-     * one shared fast-path dispatch loop (simulateConfigBatch); each
-     * seed keeps its own journal record, metric snapshot, counters,
-     * and failure slot, bit-identical to a solo run. Lockstep sweeps,
-     * fault-injecting sweeps (RunnerOptions::faultInjection or an
-     * armed process injector), and VANGUARD_FORCE_REFERENCE runs fall
-     * back to solo jobs automatically; a lane that fails inside a
-     * batch re-runs solo so failure records (retries, attempts,
-     * replay bundles) match solo execution exactly.
-     */
-    unsigned batchLanes = 8;
 
     /** Per-benchmark mean/best summary lines on stderr. */
     bool verbose = false;

@@ -6,20 +6,22 @@
  * execution path, timing only the cycle loop — train and compile
  * happen once per cell, outside the timed region — and reports
  * simulated instructions per second and simulated cycles per second.
- * Four streams per cell since v2:
+ * Three streams per cell:
  *
  *   - switch:   fast path, portable switch dispatcher,
  *   - threaded: fast path, computed-goto dispatcher (absent — zeroed —
- *               in builds without VANGUARD_THREADED),
- *   - batched:  simulateBatch over batchLanes seed lanes through one
- *               shared dispatch loop; its IPS counts all lanes' insts,
+ *               on compilers without labels-as-values),
  *   - ref:      the retained reference model (the v1 denominator).
  *
  * The v1 "fast" stream is kept and aliases threaded when available,
  * switch otherwise — exactly what a default build runs in a sweep.
  * The report serializes as schema-versioned JSON ("vanguard-selfbench
- * v2"); the committed BENCH_PR6.json at the repo root pins the
- * trajectory future PRs must not regress (ctest label tier2_perf).
+ * v3"), headed by a host fingerprint (CPU model, online CPUs,
+ * compiler, build type) so numbers from different machines or builds
+ * are not mistaken for a trend. v2 carried a fourth, batched
+ * multi-seed stream; v3 drops it along with batched simulation. The
+ * committed BENCH_PR6.json (v2) at the repo root pins the trajectory
+ * future PRs must not regress (ctest label tier2_perf).
  *
  * Determinism note: this is the one subsystem whose output is
  * *intentionally* a function of wall-clock — it measures the host, not
@@ -41,7 +43,20 @@ namespace vanguard {
 class MetricsRegistry;
 
 constexpr const char *kSelfBenchMagic = "vanguard-selfbench";
-constexpr unsigned kSelfBenchVersion = 2;
+constexpr unsigned kSelfBenchVersion = 3;
+
+/** Where a report was measured (v3); a field it cannot learn reads
+ *  "unknown". */
+struct SelfBenchHost
+{
+    std::string cpu;        ///< CPU model name
+    unsigned nproc = 0;     ///< online CPUs
+    std::string compiler;   ///< compiler id and version
+    std::string buildType;  ///< CMake build type (+ sanitizers)
+};
+
+/** The fingerprint of the running process's host and build. */
+SelfBenchHost selfBenchHost();
 
 /** One cell of the benchmark matrix. */
 struct SelfBenchCase
@@ -60,15 +75,10 @@ struct SelfBenchCell
     double fastSec = 0.0;       ///< best-of-repeats wall time, fast path
     double refSec = 0.0;        ///< best-of-repeats wall time, reference
 
-    // v2 streams. threadedSec stays 0 in builds without the
-    // computed-goto dispatcher (fastSec then equals switchSec);
-    // batchedSec times batchedLanes lanes through one loop, so its
-    // IPS denominator is batchedInsts (all lanes), not dynamicInsts.
+    // threadedSec stays 0 in builds without the computed-goto
+    // dispatcher (fastSec then equals switchSec).
     double switchSec = 0.0;     ///< fast path, switch dispatcher
     double threadedSec = 0.0;   ///< fast path, computed-goto dispatcher
-    double batchedSec = 0.0;    ///< simulateBatch over batchedLanes
-    unsigned batchedLanes = 0;
-    uint64_t batchedInsts = 0;  ///< committed insts across all lanes
 
     double fastIps() const { return fastSec > 0 ? dynamicInsts / fastSec : 0; }
     double refIps() const { return refSec > 0 ? dynamicInsts / refSec : 0; }
@@ -76,18 +86,16 @@ struct SelfBenchCell
     double refCps() const { return refSec > 0 ? cycles / refSec : 0; }
     double switchIps() const { return switchSec > 0 ? dynamicInsts / switchSec : 0; }
     double threadedIps() const { return threadedSec > 0 ? dynamicInsts / threadedSec : 0; }
-    double batchedIps() const { return batchedSec > 0 ? batchedInsts / batchedSec : 0; }
     /** Fast-path speedup over the reference path, same build. */
     double speedup() const { return fastSec > 0 ? refSec / fastSec : 0; }
     /** Computed-goto speedup over the switch dispatcher (0 when the
      *  build has no threaded dispatcher). */
     double threadedSpeedup() const { return threadedSec > 0 ? switchSec / threadedSec : 0; }
-    /** Batched throughput gain over the solo fast path. */
-    double batchedSpeedup() const { return fastIps() > 0 ? batchedIps() / fastIps() : 0; }
 };
 
 struct SelfBenchReport
 {
+    SelfBenchHost host;
     std::vector<SelfBenchCell> cells;
     unsigned repeats = 0;
     uint64_t iterations = 0;    ///< kernel trip count used per cell
@@ -96,13 +104,11 @@ struct SelfBenchReport
     double geomeanRefIps() const;
     double geomeanSpeedup() const;
 
-    // v2 stream geomeans; the threaded and batched ones are 0 when
-    // their stream was not measured (portable build / lanes = 0).
+    // Dispatcher stream geomeans; the threaded ones are 0 when the
+    // build has no threaded dispatcher.
     double geomeanSwitchIps() const;
     double geomeanThreadedIps() const;
-    double geomeanBatchedIps() const;
     double geomeanThreadedSpeedup() const;
-    double geomeanBatchedSpeedup() const;
 };
 
 struct SelfBenchOptions
@@ -119,11 +125,6 @@ struct SelfBenchOptions
      *  quick fast-only lap, e.g. the tier2_perf smoke gate). */
     bool timeReference = true;
 
-    /** Seed lanes for the batched stream (0 skips it). Lane i runs
-     *  REF seed kRefSeeds[0] + i, so lane 0 re-runs exactly the solo
-     *  streams' input — a free per-cell identity check. */
-    unsigned batchLanes = 8;
-
     /** Matrix override; empty selects the pinned default matrix. */
     std::vector<SelfBenchCase> matrix;
 };
@@ -139,7 +140,7 @@ std::vector<SelfBenchCase> selfBenchDefaultMatrix();
 SelfBenchReport runSelfBench(const SelfBenchOptions &opts,
                              std::FILE *progress = nullptr);
 
-/** Serialize as "vanguard-selfbench v1" JSON (no trailing newline). */
+/** Serialize as "vanguard-selfbench v3" JSON (no trailing newline). */
 std::string selfBenchToJson(const SelfBenchReport &report);
 
 /** Export per-cell IPS/CPS gauges into a caller-owned registry under
@@ -152,9 +153,9 @@ void selfBenchExportTo(const SelfBenchReport &report,
  * Parsed view of a committed BENCH_PR*.json — just the fields the
  * tier2_perf regression gate compares. ok=false (with error) when the
  * file is absent or unparseable; a recognized-but-newer schema raises
- * SimError(Io) like every other versioned format. The v2 stream
- * geomeans stay 0 when the baseline predates them (a v1 file), so
- * gates on them skip gracefully.
+ * SimError(Io) like every other versioned format. The dispatcher
+ * stream geomeans stay 0 when the baseline predates them (a v1 file),
+ * so gates on them skip gracefully.
  */
 struct SelfBenchBaseline
 {
@@ -165,7 +166,6 @@ struct SelfBenchBaseline
     double geomeanSpeedup = 0.0;
     double geomeanSwitchIps = 0.0;
     double geomeanThreadedIps = 0.0;
-    double geomeanBatchedIps = 0.0;
 };
 
 SelfBenchBaseline loadSelfBenchBaseline(const std::string &path);

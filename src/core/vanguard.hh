@@ -51,14 +51,6 @@ struct VanguardOptions
      */
     bool lockstep = false;
 
-    /**
-     * Select the portable switch dispatcher for the fast path even in
-     * builds that carry the computed-goto dispatcher (forwarded to
-     * SimOptions::noThreadedDispatch). A machine-code choice only —
-     * results are bit-identical either way.
-     */
-    bool noThreadedDispatch = false;
-
     /** Cycle-budget watchdog forwarded to SimOptions::cycleBudget
      *  (0 disables). The default is far above any legitimate run:
      *  simMaxInsts at the worst observed IPC stays under ~1e9. */
@@ -223,24 +215,6 @@ SimStats simulateConfig(const BenchmarkSpec &spec,
                         const CompiledConfig &config,
                         const VanguardOptions &opts, uint64_t ref_seed,
                         bool collect_branch_stalls = false);
-
-/**
- * Simulate a compiled configuration on several REF inputs through one
- * batched fast-path loop (uarch simulateBatch): each seed becomes a
- * lane with its own memory image, predictor, and (for oracle
- * predictors on decomposed code) pre-recorded PREDICT outcomes —
- * exactly the per-seed state simulateConfig builds. Per-lane results
- * are bit-identical to solo simulateConfig calls, and a lane that
- * raises SimError fails in its own slot without disturbing the others.
- * Lockstep runs cannot batch (the checker holds per-run golden state);
- * callers gate on !opts.lockstep, asserted here.
- */
-std::vector<BatchLaneResult>
-simulateConfigBatch(const BenchmarkSpec &spec,
-                    const CompiledConfig &config,
-                    const VanguardOptions &opts,
-                    const std::vector<uint64_t> &ref_seeds,
-                    bool collect_branch_stalls = false);
 
 } // namespace vanguard
 

@@ -78,8 +78,8 @@ using Cursor = ipc::BodyCursor;
 
 /**
  * Exact option serialization for job frames. Mirrors the replay
- * bundle's field list (plus width/lockstep/no-threaded-dispatch,
- * which the bundle carries out-of-band or forces) but encodes doubles
+ * bundle's field list (plus width/lockstep, which the bundle
+ * carries out-of-band or forces) but encodes doubles
  * as hexfloat so the worker re-derives selection/compilation from
  * bit-identical inputs.
  */
@@ -96,8 +96,6 @@ serializeOptionsExact(const VanguardOptions &o)
     os << "opt l1i-size-kb " << o.l1iSizeKB << "\n";
     os << "opt icache-prefetch " << (o.icachePrefetch ? 1 : 0) << "\n";
     os << "opt lockstep " << (o.lockstep ? 1 : 0) << "\n";
-    os << "opt no-threaded-dispatch "
-       << (o.noThreadedDispatch ? 1 : 0) << "\n";
     os << "opt sel-min-exposed " << hexDouble(o.selection.minExposed)
        << "\n";
     os << "opt sel-min-execs " << o.selection.minExecs << "\n";
@@ -141,8 +139,6 @@ parseOptLine(std::istringstream &ls, VanguardOptions *o)
         int v; ls >> v; o->icachePrefetch = v != 0;
     } else if (name == "lockstep") {
         int v; ls >> v; o->lockstep = v != 0;
-    } else if (name == "no-threaded-dispatch") {
-        int v; ls >> v; o->noThreadedDispatch = v != 0;
     } else if (name == "sel-min-exposed") {
         ls >> tok; o->selection.minExposed = parseHexDouble(tok);
     } else if (name == "sel-min-execs") {

@@ -3,9 +3,10 @@
  * The fast-path identity contract (PR 5): the pre-decoded fused cycle
  * loop must be bit-identical — every SimStats field, every exported
  * metric — to the retained reference path, for every predictor, every
- * machine width, and any experiment-engine worker count. Plus the
- * DecodedProgram round-trip property: decode is a pure re-encoding of
- * the laid-out program, never a transformation.
+ * machine width, and any experiment-engine worker count. Every run of
+ * the identity matrix also checks timing invariants on both paths.
+ * Plus the DecodedProgram round-trip property: decode is a pure
+ * re-encoding of the laid-out program, never a transformation.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "core/runner.hh"
 #include "core/vanguard.hh"
 #include "exec/decoded_program.hh"
+#include "exec/memory.hh"
 #include "support/metrics.hh"
 #include "uarch/pipeline.hh"
 #include "workloads/suites.hh"
@@ -73,6 +75,22 @@ expectSnapshotsIdentical(const SimStats &fast, const SimStats &ref,
     }
 }
 
+/**
+ * Cycle-accounting invariants every completed run must satisfy: a
+ * width-W machine commits at most W instructions a cycle, and the DBB
+ * never holds more entries than it has. (`issued >= dynamicInsts` is
+ * not one: JMP, PREDICT, HALT and folded commit MOVs retire without
+ * taking an issue slot.)
+ */
+void
+expectTimingInvariants(const SimStats &s, const VanguardOptions &vopts,
+                       const std::string &what)
+{
+    MachineConfig mc = vopts.machine();
+    EXPECT_GE(s.cycles * mc.width, s.dynamicInsts) << what;
+    EXPECT_LE(s.dbbMaxOccupancy, mc.dbbEntries) << what;
+}
+
 void
 expectBitIdentical(const BenchmarkSpec &spec, const VanguardOptions &vopts,
                    const std::string &what)
@@ -93,6 +111,8 @@ expectBitIdentical(const BenchmarkSpec &spec, const VanguardOptions &vopts,
         expectSnapshotsIdentical(fast, ref, tag);
         // Per-branch stall attribution is not part of the snapshot.
         EXPECT_TRUE(fast.branchStalls == ref.branchStalls) << tag;
+        expectTimingInvariants(fast, vopts, tag + " fast");
+        expectTimingInvariants(ref, vopts, tag + " reference");
     }
 }
 
@@ -128,9 +148,8 @@ TEST(FastPath, BitIdenticalAcrossWidths)
 /**
  * The computed-goto and portable-switch dispatchers run the same loop
  * body, so choosing between them must select machine code only, never
- * behavior — both the SimOptions flag and the VANGUARD_THREADED env
- * kill switch. Skips (trivially passes) in builds without the
- * threaded dispatcher, where the flag is a documented no-op.
+ * behavior. Skips (trivially passes) in builds without the threaded
+ * dispatcher, where the flag is a documented no-op.
  */
 TEST(FastPath, ThreadedAndSwitchDispatchersBitIdentical)
 {
@@ -151,13 +170,6 @@ TEST(FastPath, ThreadedAndSwitchDispatchersBitIdentical)
             EXPECT_EQ(threaded.cycles, sw.cycles) << tag;
             expectSnapshotsIdentical(threaded, sw, tag);
             EXPECT_TRUE(threaded.branchStalls == sw.branchStalls) << tag;
-
-            // The env kill switch must behave exactly like the flag.
-            ASSERT_EQ(setenv("VANGUARD_THREADED", "0", 1), 0);
-            SimStats env_sw =
-                runOnce(spec, art, *config, vopts, false, false);
-            unsetenv("VANGUARD_THREADED");
-            expectSnapshotsIdentical(env_sw, sw, tag + " env");
         }
     }
 }
@@ -174,6 +186,32 @@ TEST(FastPath, ForceReferenceEnvIsHonored)
     SimStats forced = runOnce(spec, art, art.exp, vopts, false);
     unsetenv("VANGUARD_FORCE_REFERENCE");
     expectSnapshotsIdentical(fast, forced, "env kill switch");
+    EXPECT_TRUE(fast.branchStalls == forced.branchStalls);
+
+    // One more input: an empty data memory, so the first load faults.
+    // Both paths must raise the same structured Fault.
+    for (bool force : {false, true}) {
+        if (force) {
+            ASSERT_EQ(setenv("VANGUARD_FORCE_REFERENCE", "1", 1), 0);
+        }
+        Memory empty(0);
+        auto pred = makePredictor(vopts.predictor, kRefSeeds[0]);
+        SimOptions sopts;
+        sopts.maxInsts = vopts.simMaxInsts;
+        try {
+            simulateWithDecoded(art.exp.prog, *art.exp.decoded, empty,
+                                *pred, vopts.machine(), sopts);
+            ADD_FAILURE() << "out-of-bounds load did not fault"
+                          << (force ? " (reference)" : " (fast)");
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimError::Kind::Fault);
+            EXPECT_NE(std::string(e.what()).find("faulted"),
+                      std::string::npos)
+                << e.what();
+        }
+        if (force)
+            unsetenv("VANGUARD_FORCE_REFERENCE");
+    }
 }
 
 /**

@@ -15,30 +15,32 @@
  *    ratio-cancels-host reasoning. Guards against the threaded path
  *    silently degenerating (e.g. a compiler change re-merging the
  *    per-opcode indirect jumps).
- *  - Batched (v2 baselines): batched multi-seed throughput relative to
- *    the solo fast path. On a single-core host batching trades a
- *    little per-lane cache locality for sweep-level amortization, so
- *    this ratio sits near (not above) 1.0; the gate catches it
- *    collapsing, which would mean the round-robin loop got expensive.
  *  - Absolute (opt-in via VANGUARD_PERF_ABSOLUTE=1): geomean simulated
  *    instructions per second against the committed numbers. Only
  *    comparable on hardware like the one that produced the baseline,
  *    so it stays off in CI by default.
  * All gates allow a 20% regression margin, and each measurement gets
  * up to three attempts (best result wins) because short wall-clock
- * runs on a shared machine are noisy.
+ * runs on a shared machine are noisy. The PerfBaseline tests check,
+ * without timing anything, that committed baselines of every schema
+ * version still load with the fields these gates read.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
+#include <string>
 
 #include "core/selfbench.hh"
 #include "uarch/pipeline.hh"
 
 #ifndef VANGUARD_BENCH_BASELINE
 #define VANGUARD_BENCH_BASELINE "BENCH_PR6.json"
+#endif
+#ifndef VANGUARD_BENCH_V1_BASELINE
+#define VANGUARD_BENCH_V1_BASELINE "BENCH_PR5.json"
 #endif
 
 namespace vanguard {
@@ -69,7 +71,6 @@ TEST(PerfRegression, FastPathHoldsTheCommittedTrajectory)
     ASSERT_GT(base.geomeanFastIps, 0.0);
 
     SelfBenchOptions opts = sliceOptions();
-    opts.batchLanes = 0; // this gate measures the solo streams only
 
     const bool absolute =
         std::getenv("VANGUARD_PERF_ABSOLUTE") != nullptr;
@@ -118,7 +119,6 @@ TEST(PerfRegression, ThreadedDispatcherHoldsItsGainOverSwitch)
 
     SelfBenchOptions opts = sliceOptions();
     opts.timeReference = false;
-    opts.batchLanes = 0;
 
     double best = 0.0;
     for (int attempt = 0; attempt < kAttempts; ++attempt) {
@@ -133,32 +133,71 @@ TEST(PerfRegression, ThreadedDispatcherHoldsItsGainOverSwitch)
         << "x — did the computed-goto jumps get re-merged?";
 }
 
-TEST(PerfRegression, BatchedThroughputStaysNearSoloFast)
+TEST(PerfBaseline, CommittedBaselinesOfEveryVersionLoad)
 {
-    SelfBenchBaseline base = loadSelfBenchBaseline(VANGUARD_BENCH_BASELINE);
-    if (!base.ok)
-        GTEST_SKIP() << "no committed baseline: " << base.error;
-    if (base.geomeanBatchedIps <= 0.0 || base.geomeanFastIps <= 0.0)
-        GTEST_SKIP() << "baseline predates the v2 batched stream";
+    // v1: the fast/ref gate's fields only; the dispatcher streams read
+    // 0, so the threaded/switch gate skips.
+    SelfBenchBaseline v1 = loadSelfBenchBaseline(VANGUARD_BENCH_V1_BASELINE);
+    ASSERT_TRUE(v1.ok) << v1.error;
+    EXPECT_EQ(v1.version, 1u);
+    EXPECT_GT(v1.geomeanFastIps, 0.0);
+    EXPECT_GT(v1.geomeanSpeedup, 0.0);
+    EXPECT_EQ(v1.geomeanSwitchIps, 0.0);
+    EXPECT_EQ(v1.geomeanThreadedIps, 0.0);
 
-    const double committed_ratio =
-        base.geomeanBatchedIps / base.geomeanFastIps;
-    const double need = committed_ratio * (1.0 - kAllowedRegression);
+    // v2: both gates' fields; its batched stream is ignored.
+    SelfBenchBaseline v2 = loadSelfBenchBaseline(VANGUARD_BENCH_BASELINE);
+    ASSERT_TRUE(v2.ok) << v2.error;
+    EXPECT_EQ(v2.version, 2u);
+    EXPECT_GT(v2.geomeanFastIps, 0.0);
+    EXPECT_GT(v2.geomeanSpeedup, 0.0);
+    EXPECT_GT(v2.geomeanSwitchIps, 0.0);
+    EXPECT_GT(v2.geomeanThreadedIps, 0.0);
+}
 
-    SelfBenchOptions opts = sliceOptions();
-    opts.timeReference = false;
+TEST(PerfBaseline, V3ReportRoundTripsWithHostFingerprint)
+{
+    SelfBenchReport report;
+    report.host = selfBenchHost();
+    report.repeats = 1;
+    report.iterations = 100;
+    SelfBenchCell cell;
+    cell.spec = {"bzip2-like", 4, "gshare3"};
+    cell.dynamicInsts = 1'000'000;
+    cell.cycles = 2'000'000;
+    cell.switchSec = 0.04;
+    cell.threadedSec = 0.03;
+    cell.fastSec = 0.03;
+    cell.refSec = 0.06;
+    report.cells.push_back(cell);
 
-    double best = 0.0;
-    for (int attempt = 0; attempt < kAttempts; ++attempt) {
-        SelfBenchReport report = runSelfBench(opts);
-        best = std::max(best, report.geomeanBatchedSpeedup());
-        if (best >= need)
-            break;
-    }
-    EXPECT_GE(best, need)
-        << "batched multi-seed throughput collapsed vs solo fast: "
-        << "measured " << best << "x of solo, committed "
-        << committed_ratio << "x — round-robin overhead regression?";
+    EXPECT_FALSE(report.host.cpu.empty());
+    EXPECT_GT(report.host.nproc, 0u);
+    EXPECT_FALSE(report.host.compiler.empty());
+    EXPECT_FALSE(report.host.buildType.empty());
+
+    std::string json = selfBenchToJson(report);
+    EXPECT_EQ(json.find("batched"), std::string::npos);
+    const SelfBenchHost &h = report.host;
+    EXPECT_NE(json.find("\"host\": {\"cpu\": \"" + h.cpu +
+                        "\", \"nproc\": " + std::to_string(h.nproc) +
+                        ", \"compiler\": \"" + h.compiler +
+                        "\", \"build_type\": \"" + h.buildType + "\"}"),
+              std::string::npos)
+        << json;
+    std::string path = ::testing::TempDir() + "selfbench-v3.json";
+    std::ofstream(path) << json << "\n";
+
+    SelfBenchBaseline back = loadSelfBenchBaseline(path);
+    ASSERT_TRUE(back.ok) << back.error;
+    EXPECT_EQ(back.version, kSelfBenchVersion);
+    EXPECT_NEAR(back.geomeanFastIps, report.geomeanFastIps(),
+                report.geomeanFastIps() * 1e-5);
+    EXPECT_NEAR(back.geomeanSpeedup, report.geomeanSpeedup(), 1e-5);
+    EXPECT_NEAR(back.geomeanSwitchIps, report.geomeanSwitchIps(),
+                report.geomeanSwitchIps() * 1e-5);
+    EXPECT_NEAR(back.geomeanThreadedIps, report.geomeanThreadedIps(),
+                report.geomeanThreadedIps() * 1e-5);
 }
 
 } // namespace
