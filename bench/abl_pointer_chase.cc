@@ -47,10 +47,9 @@ measure(uint64_t nodes, uint64_t &base_cycles, double &miss_rate)
 
     Function dec_fn = k.fn;
     decomposeBranches(dec_fn, {flag_branch});
-    ScheduleOptions sched;
-    scheduleFunction(dec_fn, sched);
+    scheduleFunction(dec_fn);
     Function base_fn = k.fn;
-    scheduleFunction(base_fn, sched);
+    scheduleFunction(base_fn);
 
     Program base = linearize(base_fn);
     Program dec = linearize(dec_fn);

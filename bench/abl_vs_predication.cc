@@ -80,9 +80,7 @@ runQuadrant(const BenchmarkSpec &spec)
     PredicationOptions popts;
     popts.maxSideInsts = 24;
     ifConvertBranches(k.fn, train.selected, popts);
-    ScheduleOptions sched;
-    sched.width = opts.width;
-    scheduleFunction(k.fn, sched);
+    scheduleFunction(k.fn);
     CompiledConfig pred;
     pred.prog = linearize(k.fn);
     pred.staticInsts = pred.prog.size();

@@ -137,7 +137,7 @@ BM_ListScheduler(benchmark::State &state)
     spec.iterations = 400;
     for (auto _ : state) {
         BuiltKernel k = buildKernel(spec, kTrainSeed);
-        unsigned changed = scheduleFunction(k.fn, {});
+        unsigned changed = scheduleFunction(k.fn);
         benchmark::DoNotOptimize(changed);
     }
 }

@@ -121,9 +121,7 @@ uint64_t
 simulateVariant(const Function &fn, const char *label)
 {
     Function scheduled = fn;
-    ScheduleOptions sched;
-    sched.width = 4;
-    scheduleFunction(scheduled, sched);
+    scheduleFunction(scheduled);
     Program prog = linearize(scheduled);
     Memory mem(8 << 20);
     mem.write64(4096 + kSize, 64);

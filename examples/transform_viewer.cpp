@@ -79,9 +79,7 @@ main(int argc, char **argv)
                 kernel.fn.toString().c_str());
 
     // --- scheduling -------------------------------------------------------
-    ScheduleOptions sched;
-    sched.width = 4;
-    unsigned changed = scheduleFunction(kernel.fn, sched);
+    unsigned changed = scheduleFunction(kernel.fn);
     std::printf("=== stage 4: list scheduling reordered %u blocks "
                 "===\n\n",
                 changed);

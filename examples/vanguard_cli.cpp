@@ -288,9 +288,7 @@ printUsage(std::FILE *to)
         "  0  success\n"
         "  1  simulator error (SimError: config, fault, hang, "
         "divergence, io, ...)\n"
-        "  2  usage error (unknown flag or missing argument, or "
-        "--isolate-jobs\n"
-        "     on a platform without fork/exec support)\n"
+        "  2  usage error (unknown flag or missing argument)\n"
         "  3  sweep job failures exceeded --fail-threshold\n"
         "  4  sweep interrupted by SIGINT/SIGTERM; checkpointed work "
         "is\n"
@@ -598,14 +596,6 @@ runCli(int argc, char **argv)
                      "--worker-rlimit-mb need --isolate-jobs\n");
         usageAndExit();
     }
-    if (isolate_jobs && !WorkerPool::supported()) {
-        // Unsupported platform is a usage-level rejection (exit 2),
-        // not a SimError abort: scripts can probe for support.
-        std::fprintf(stderr,
-                     "vanguard_cli: --isolate-jobs is not supported "
-                     "on this platform (needs fork/exec/socketpair)\n");
-        return 2;
-    }
     if (serve_sweep && !all_refs) {
         std::fprintf(stderr, "vanguard_cli: --serve-sweep only "
                              "applies to --all-refs sweeps\n");
@@ -630,26 +620,11 @@ runCli(int argc, char **argv)
                      "mode (no sweep flags)\n");
         usageAndExit();
     }
-    if ((serve_sweep || !remote_worker.empty()) &&
-        !Coordinator::supported()) {
-        std::fprintf(stderr,
-                     "vanguard_cli: the sweep fabric is not supported "
-                     "on this platform (needs POSIX sockets)\n");
-        return 2;
-    }
     if ((telemetry_serve || !flightrec_out.empty()) && !all_refs) {
         std::fprintf(stderr,
                      "vanguard_cli: --telemetry-port/--flightrec-out "
                      "only apply to --all-refs sweeps\n");
         usageAndExit();
-    }
-    if (telemetry_serve && !TelemetryServer::supported()) {
-        // Same usage-level rejection (exit 2) as the other socket
-        // transports, so scripts can probe for support.
-        std::fprintf(stderr,
-                     "vanguard_cli: --telemetry-port is not supported "
-                     "on this platform (needs POSIX sockets)\n");
-        return 2;
     }
 
     // Deterministic fault injection: an explicit --inject wins over

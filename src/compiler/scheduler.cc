@@ -16,26 +16,10 @@ struct DagNode
     unsigned pathLength = 0;    ///< latency-weighted height to block end
 };
 
-unsigned
-portsFor(FuClass cls, const ScheduleOptions &opts)
-{
-    switch (cls) {
-      case FuClass::Mem:
-        return opts.memPorts;
-      case FuClass::IntAlu:
-        return opts.intPorts;
-      case FuClass::Fp:
-        return opts.fpPorts;
-      case FuClass::None:
-        return opts.width;
-    }
-    return opts.width;
-}
-
 } // namespace
 
 bool
-scheduleBlock(BasicBlock &bb, const ScheduleOptions &opts)
+scheduleBlock(BasicBlock &bb)
 {
     size_t n = bb.bodySize();
     if (n < 2)
@@ -139,11 +123,11 @@ scheduleBlock(BasicBlock &bb, const ScheduleOptions &opts)
 }
 
 unsigned
-scheduleFunction(Function &fn, const ScheduleOptions &opts)
+scheduleFunction(Function &fn)
 {
     unsigned changed = 0;
     for (auto &bb : fn.blocks())
-        if (scheduleBlock(bb, opts))
+        if (scheduleBlock(bb))
             ++changed;
     return changed;
 }

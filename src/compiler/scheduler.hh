@@ -12,7 +12,8 @@
  *
  * Dependences honored: register RAW/WAR/WAW; loads may reorder with
  * loads but never with stores; stores never reorder with each other.
- * Resources honored: issue width and per-class FU ports per cycle.
+ * Resources are not modelled: the order is critical-path-first over
+ * the dependence DAG alone, independent of issue width and FU ports.
  */
 
 #ifndef VANGUARD_COMPILER_SCHEDULER_HH
@@ -22,19 +23,11 @@
 
 namespace vanguard {
 
-struct ScheduleOptions
-{
-    unsigned width = 4;     ///< target issue width
-    unsigned memPorts = 2;
-    unsigned intPorts = 2;
-    unsigned fpPorts = 4;
-};
-
 /** Schedule one block's body in place. Returns true if reordered. */
-bool scheduleBlock(BasicBlock &bb, const ScheduleOptions &opts);
+bool scheduleBlock(BasicBlock &bb);
 
 /** Schedule every block of fn. Returns number of blocks reordered. */
-unsigned scheduleFunction(Function &fn, const ScheduleOptions &opts);
+unsigned scheduleFunction(Function &fn);
 
 } // namespace vanguard
 

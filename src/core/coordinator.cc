@@ -1,110 +1,28 @@
 /**
  * @file
- * Sweep-fabric implementation: lease bookkeeping, the coordinator
- * service thread, and the remote-worker client loop. See
- * coordinator.hh for the protocol and state machine.
+ * Sweep-fabric implementation: lease bookkeeping and the coordinator
+ * service thread. See coordinator.hh for the protocol and state
+ * machine; the remote worker lives with the shared worker loop in
+ * worker_pool.cc.
  */
 
 #include "core/coordinator.hh"
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <set>
-#include <sstream>
+
+#include <unistd.h>
 
 #include "support/fault_inject.hh"
 #include "support/flight_recorder.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
 #include "support/telemetry.hh"
-#include "support/versioned_format.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define VANGUARD_FABRIC_POSIX 1
-#include <unistd.h>
-#endif
 
 namespace vanguard {
 
-namespace {
-
-constexpr unsigned kRemoteHelloVersion = 1;
-constexpr unsigned kLeaseVersion = 1;
-constexpr unsigned kClaimVersion = 1;
-constexpr unsigned kRenewVersion = 1;
-constexpr unsigned kRemoteResultVersion = 1;
-constexpr unsigned kAckVersion = 1;
-constexpr unsigned kDrainVersion = 1;
-constexpr unsigned kWorkerConfigVersion = 1; // shared with worker_pool
-
 using Clock = std::chrono::steady_clock;
-
-std::string
-claimBody()
-{
-    return detail::csprintf("vanguard-claim v%u\n", kClaimVersion);
-}
-
-std::string
-renewBody(uint64_t lease)
-{
-    return detail::csprintf("vanguard-renew v%u\nlease %llu\n",
-                            kRenewVersion,
-                            static_cast<unsigned long long>(lease));
-}
-
-std::string
-ackBody(uint64_t lease)
-{
-    return detail::csprintf("vanguard-ack v%u\nlease %llu\n",
-                            kAckVersion,
-                            static_cast<unsigned long long>(lease));
-}
-
-std::string
-drainBody(bool final_drain)
-{
-    return detail::csprintf("vanguard-drain v%u\nfinal %d\n",
-                            kDrainVersion, final_drain ? 1 : 0);
-}
-
-/** Parse "lease <id>" out of a renew/result/ack body (after the
- *  versioned header line). Returns 0 on a malformed body (lease ids
- *  start at 1). */
-uint64_t
-parseLeaseField(ipc::BodyCursor *cur)
-{
-    std::string line;
-    while (cur->line(&line)) {
-        std::istringstream ls(line);
-        std::string key;
-        ls >> key;
-        if (key == "lease") {
-            unsigned long long v = 0;
-            ls >> v;
-            return v;
-        }
-        if (key == "blob")
-            break; // lease line must precede blobs
-    }
-    return 0;
-}
-
-/** splitmix64 finalizer, local copy for connection-backoff jitter. */
-uint64_t
-mixJitter(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-} // namespace
-
-#ifdef VANGUARD_FABRIC_POSIX
 
 // ---------------------------------------------------------------------
 // Coordinator
@@ -145,7 +63,9 @@ struct Coordinator::Impl
         std::string failMessage;
     };
 
-    explicit Impl(const Options &opts) : opts_(opts)
+    explicit Impl(const Options &opts)
+        : opts_(opts),
+          ledger_(opts.quarantineDeaths, opts.restartStormLimit)
     {
         if (opts_.leaseMs == 0)
             opts_.leaseMs = 1;
@@ -207,7 +127,7 @@ struct Coordinator::Impl
             job.phase + ":" + std::to_string(job.slot);
 
         std::unique_lock<std::mutex> lock(mutex_);
-        throwIfBroken();
+        ledger_.throwIfBroken();
         if (draining_ || shutdownRequested())
             throw JobDiscarded();
         uint64_t id = nextOfferId_++;
@@ -221,9 +141,10 @@ struct Coordinator::Impl
         }
         cv_.wait(lock, [&] {
             const Offer &o = offers_[id];
-            return broken_ || o.state == Offer::Done || o.discarded;
+            return ledger_.broken() || o.state == Offer::Done ||
+                   o.discarded;
         });
-        throwIfBroken();
+        ledger_.throwIfBroken();
         Offer &o = offers_[id];
         if (o.discarded)
             throw JobDiscarded();
@@ -248,24 +169,12 @@ struct Coordinator::Impl
         return res;
     }
 
-    /** Caller holds mutex_. */
     void
-    throwIfBroken()
-    {
-        if (broken_)
-            throw SimError(brokenKind_, brokenReason_);
-    }
-
-    void
-    markBroken(SimError::Kind kind, std::string reason)
+    markBroken(SimError::Kind kind, const std::string &reason)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (!broken_) {
-            broken_ = true;
-            brokenKind_ = kind;
-            brokenReason_ = std::move(reason);
-            flightRecord("error", "fabric.broken", brokenReason_);
-        }
+        if (ledger_.markBroken(kind, reason))
+            flightRecord("error", "fabric.broken", reason);
         cv_.notify_all();
     }
 
@@ -318,7 +227,7 @@ struct Coordinator::Impl
                 return;
             try {
                 ipc::writeFrame(p.fd, ipc::kFrameDrain,
-                                drainBody(true));
+                                serializeDrain(true));
                 {
                     std::lock_guard<std::mutex> lock(mutex_);
                     stats_.frames++;
@@ -367,19 +276,22 @@ struct Coordinator::Impl
                     continue;
                 ipc::Frame f;
                 ipc::ReadStatus st;
+                bool hello;
                 try {
                     st = p.chan.read(&f, 0);
+                    hello = st == ipc::ReadStatus::Ok &&
+                            f.type == ipc::kFrameHello &&
+                            parseHello(p, f.body);
                 } catch (const SimError &) {
+                    // Desync, or a body version this build cannot
+                    // read: drop the peer, keep serving.
                     p.dead = true;
                     continue;
                 }
-                if (st == ipc::ReadStatus::Eof) {
+                if (st == ipc::ReadStatus::Eof)
                     p.dead = true;
-                } else if (st == ipc::ReadStatus::Ok &&
-                           f.type == ipc::kFrameHello &&
-                           parseHello(p, f.body)) {
+                else if (hello)
                     drainPeer(p);
-                }
             }
             reapDeadPeers();
             std::this_thread::sleep_for(
@@ -472,7 +384,17 @@ struct Coordinator::Impl
                     stats_.frames++;
                 }
                 bumpCounter("engine.net.frames");
-                if (!handleFrame(p, f))
+                bool keep;
+                try {
+                    keep = handleFrame(p, f);
+                } catch (const SimError &e) {
+                    // A frame body of a version this build cannot
+                    // read costs that peer its connection, never the
+                    // coordinator.
+                    losePeer(p, "protocol desync (" + e.detail() + ")");
+                    break;
+                }
+                if (!keep)
                     break;
             }
         }
@@ -489,13 +411,9 @@ struct Coordinator::Impl
                 p.claimPending = true;
             return true;
         case ipc::kFrameRenew: {
-            ipc::BodyCursor cur{f.body};
-            std::string line;
-            if (!cur.line(&line) ||
-                !parseVersionedHeader(line, "vanguard-renew",
-                                      kRenewVersion, nullptr))
-                return true; // tolerate malformed renew: lease expires
-            uint64_t lease = parseLeaseField(&cur);
+            // A malformed renew (lease 0) is tolerated: the lease
+            // simply expires.
+            uint64_t lease = parseLeaseRef(f.body, "vanguard-renew");
             std::lock_guard<std::mutex> lock(mutex_);
             auto it = leaseHistory_.find(lease);
             if (it != leaseHistory_.end()) {
@@ -536,21 +454,9 @@ struct Coordinator::Impl
     bool
     parseHello(Peer &p, const std::string &body)
     {
-        ipc::BodyCursor cur{body};
-        std::string line;
-        if (!cur.line(&line) ||
-            !parseVersionedHeader(line, "vanguard-remote",
-                                  kRemoteHelloVersion, nullptr)) {
+        uint64_t pid = 0;
+        if (!parseWorkerHello(body, &pid))
             return false;
-        }
-        long long pid = 0;
-        while (cur.line(&line)) {
-            std::istringstream ls(line);
-            std::string key;
-            ls >> key;
-            if (key == "pid")
-                ls >> pid;
-        }
         std::string ip = p.addr.substr(0, p.addr.rfind(':'));
         p.identity = std::to_string(pid) + "@" + ip;
         p.helloed = true;
@@ -581,14 +487,12 @@ struct Coordinator::Impl
         if (reconnect)
             bumpCounter("engine.net.reconnects");
 
-        std::ostringstream cfg;
-        cfg << "vanguard-workerconfig v" << kWorkerConfigVersion
-            << "\n";
-        cfg << "heartbeat-ms " << opts_.leaseMs << "\n";
-        std::string cfg_body = cfg.str();
-        ipc::appendBlob(&cfg_body, "fault-plan", opts_.faultPlanSpec);
-        ipc::appendBlob(&cfg_body, "net-fault-plan", netPlanSpec_);
-        if (sendToPeer(p, ipc::kFrameConfig, cfg_body) ==
+        WorkerConfig cfg;
+        cfg.leaseMs = opts_.leaseMs;
+        cfg.faultPlan = opts_.faultPlanSpec;
+        cfg.netFaultPlan = netPlanSpec_;
+        if (sendToPeer(p, ipc::kFrameConfig,
+                       serializeWorkerConfig(cfg)) ==
             ipc::SendStatus::Disconnected) {
             losePeer(p, "lost during config");
             return false;
@@ -599,50 +503,16 @@ struct Coordinator::Impl
     bool
     handleResult(Peer &p, const std::string &body)
     {
-        ipc::BodyCursor cur{body};
-        std::string line;
-        if (!cur.line(&line) ||
-            !parseVersionedHeader(line, "vanguard-remoteresult",
-                                  kRemoteResultVersion, nullptr)) {
-            losePeer(p, "result carries no vanguard-remoteresult "
-                        "header");
-            return false;
-        }
         uint64_t lease = 0;
-        std::string result_bytes;
-        bool have_result = false;
-        while (cur.line(&line)) {
-            std::istringstream ls(line);
-            std::string key;
-            ls >> key;
-            if (key == "lease") {
-                unsigned long long v = 0;
-                ls >> v;
-                lease = v;
-            } else if (key == "blob") {
-                std::string name;
-                size_t len = 0;
-                ls >> name >> len;
-                std::string data;
-                if (!cur.raw(len, &data)) {
-                    losePeer(p, "truncated result blob");
-                    return false;
-                }
-                if (name == "result") {
-                    result_bytes = std::move(data);
-                    have_result = true;
-                }
-            }
-        }
-        if (lease == 0 || !have_result) {
-            losePeer(p, "malformed result frame");
+        std::string result_bytes, err;
+        if (!parseResultEnvelope(body, &lease, &result_bytes, &err)) {
+            losePeer(p, err);
             return false;
         }
         // Validate the payload before recording it as the truth
         // duplicates get compared against.
         {
             WorkerResult parsed;
-            std::string err;
             if (!parseWorkerResult(result_bytes, &parsed, &err)) {
                 losePeer(p, "unreadable worker result (" + err + ")");
                 return false;
@@ -691,9 +561,8 @@ struct Coordinator::Impl
                     o.state = Offer::Done;
                     o.leaseId = 0;
                     o.resultBytes = std::move(result_bytes);
-                    consecutiveDeaths_.erase(o.key);
+                    ledger_.noteCompletion(o.key);
                     losses_[p.identity] = 0;
-                    consecutiveLosses_ = 0;
                     cv_.notify_all();
                 }
             }
@@ -704,7 +573,8 @@ struct Coordinator::Impl
             markBroken(SimError::Kind::Divergence, divergence_msg);
             return true;
         }
-        if (sendToPeer(p, ipc::kFrameResultAck, ackBody(lease)) ==
+        if (sendToPeer(p, ipc::kFrameResultAck,
+                       serializeLeaseRef("vanguard-ack", lease)) ==
             ipc::SendStatus::Disconnected) {
             losePeer(p, "lost during result ack");
             return false;
@@ -734,7 +604,7 @@ struct Coordinator::Impl
         const std::string identity = o.leasedTo;
         o.leasedTo.clear();
 
-        unsigned deaths = ++consecutiveDeaths_[o.key];
+        SupervisionLedger::Loss loss = ledger_.noteLoss(o.key);
         losses_[identity]++;
         flightRecord("event", "fabric.lease_lost",
                      o.key + " held by " + identity + ": " + why);
@@ -750,24 +620,22 @@ struct Coordinator::Impl
                     std::chrono::milliseconds(
                         opts_.backoff.delayMs(losses_[identity]));
         }
-        if (++consecutiveLosses_ > opts_.restartStormLimit &&
-            !broken_) {
-            broken_ = true;
-            brokenKind_ = SimError::Kind::Internal;
-            brokenReason_ = detail::csprintf(
-                "lease-loss storm: %u consecutive lost leases with no "
-                "completed job; breaking the fabric",
-                consecutiveLosses_);
+        if (loss.storm) {
+            ledger_.markBroken(
+                SimError::Kind::Internal,
+                detail::csprintf("lease-loss storm: %u consecutive "
+                                 "lost leases with no completed job; "
+                                 "breaking the fabric",
+                                 loss.streak));
             cv_.notify_all();
         }
-        if (deaths >= opts_.quarantineDeaths) {
-            consecutiveDeaths_.erase(o.key);
+        if (loss.quarantine) {
             o.state = Offer::Done;
             o.failSynthesized = true;
             o.failMessage = detail::csprintf(
                 "poison job quarantined: %s lost %u consecutive "
                 "leases (last: %s)",
-                o.key.c_str(), deaths, why.c_str());
+                o.key.c_str(), loss.deaths, why.c_str());
             flightRecord("error", "fabric.quarantine", o.failMessage);
             cv_.notify_all();
         } else {
@@ -775,7 +643,7 @@ struct Coordinator::Impl
             vg_warn("fabric: %s lease on %s %s; requeued "
                     "(loss %u of %u)",
                     identity.c_str(), o.key.c_str(), why.c_str(),
-                    deaths, opts_.quarantineDeaths);
+                    loss.deaths, opts_.quarantineDeaths);
         }
     }
 
@@ -837,7 +705,7 @@ struct Coordinator::Impl
             expiredToBump_ = 0;
             Clock::time_point now = Clock::now();
             bool stop_granting =
-                broken_ || draining_ || shutdownRequested();
+                ledger_.broken() || draining_ || shutdownRequested();
             if (!stop_granting) {
                 for (auto &pp : peers_) {
                     Peer &p = *pp;
@@ -859,7 +727,7 @@ struct Coordinator::Impl
                     if (!found)
                         break; // queue empty: idle heartbeats cover it
                     Offer &o = offers_[id];
-                    o.job.delivery = deliveries_[o.key]++;
+                    o.job.delivery = ledger_.nextDelivery(o.key);
                     o.state = Offer::Leased;
                     o.leaseId = nextLeaseId_++;
                     o.leasedTo = p.identity;
@@ -873,15 +741,11 @@ struct Coordinator::Impl
                         stats_.leasesRegranted++;
                         regranted++;
                     }
-                    std::ostringstream os;
-                    os << "vanguard-lease v" << kLeaseVersion << "\n";
-                    os << "lease " << o.leaseId << "\n";
-                    os << "lease-ms " << opts_.leaseMs << "\n";
-                    std::string body = os.str();
-                    ipc::appendBlob(&body, "job",
-                                    serializeWorkerJob(o.job));
                     p.claimPending = false;
-                    grants.push_back({&p, o.leaseId, std::move(body)});
+                    grants.push_back(
+                        {&p, o.leaseId,
+                         serializeLease(o.leaseId, opts_.leaseMs,
+                                        o.job)});
                 }
             }
         }
@@ -975,27 +839,17 @@ struct Coordinator::Impl
     std::map<uint64_t, Offer> offers_;
     std::deque<uint64_t> queue_;
     std::map<uint64_t, uint64_t> leaseHistory_; ///< lease -> offer
-    std::map<std::string, uint64_t> deliveries_;
-    std::map<std::string, unsigned> consecutiveDeaths_;
+    SupervisionLedger ledger_;
+    /** Per-identity lease losses: the backoff before its next grant. */
     std::map<std::string, unsigned> losses_;
     std::set<std::string> seenIdentities_;
     uint64_t nextOfferId_ = 1;
     uint64_t nextLeaseId_ = 1;
     uint64_t expiredToBump_ = 0;
-    unsigned consecutiveLosses_ = 0;
-    bool broken_ = false;
-    SimError::Kind brokenKind_ = SimError::Kind::Internal;
-    std::string brokenReason_;
     bool draining_ = false;
     bool shutdownDone_ = false;
     Stats stats_;
 };
-
-bool
-Coordinator::supported()
-{
-    return ipc::ipcSupported();
-}
 
 Coordinator::Coordinator(const Options &opts)
     : impl_(new Impl(opts))
@@ -1028,507 +882,5 @@ Coordinator::stats() const
     std::lock_guard<std::mutex> lock(impl_->mutex_);
     return impl_->stats_;
 }
-
-// ---------------------------------------------------------------------
-// Remote worker
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** Sleep `ms` in small steps, bailing early on the shutdown latch.
- *  Returns false if shutdown was requested. */
-bool
-interruptibleSleep(unsigned ms)
-{
-    unsigned slept = 0;
-    while (slept < ms) {
-        if (shutdownRequested())
-            return false;
-        unsigned step = ms - slept < 25 ? ms - slept : 25;
-        std::this_thread::sleep_for(std::chrono::milliseconds(step));
-        slept += step;
-    }
-    return !shutdownRequested();
-}
-
-enum class ConnOutcome
-{
-    Drained,    ///< coordinator sent a final DRAIN: exit cleanly
-    Lost,       ///< connection lost: reconnect with backoff
-    Shutdown,   ///< local SIGINT/SIGTERM latch: exit cleanly
-    Acked,      ///< (serveLease only) result recorded: claim again
-};
-
-struct RemoteConn
-{
-    int fd;
-    ipc::FrameChannel chan;
-    uint64_t connScope;
-    uint64_t drawCursor = 0;
-    std::mutex writeMutex;
-    unsigned leaseMs = 10000;
-
-    ipc::SendStatus
-    send(char type, const std::string &body)
-    {
-        std::lock_guard<std::mutex> lock(writeMutex);
-        return ipc::sendFrameNet(fd, type, body, connScope,
-                                 &drawCursor);
-    }
-
-    /**
-     * Advisory STATS push, deliberately injection-free: telemetry is
-     * not a chaos subject, and routing it through sendFrameNet would
-     * shift every existing net-fault draw sequence (plans key on the
-     * frame ordinal). Failures are swallowed — the read side will
-     * notice a dead coordinator on its own.
-     */
-    void
-    sendStatsAdvisory(JobBodyRunner &runner, const char *phase,
-                      uint64_t lease)
-    {
-        PeerStats ps;
-        ps.pid = static_cast<uint64_t>(::getpid());
-        ps.phase = phase;
-        JobBodyRunner::BodyStats bs = runner.bodyStats();
-        ps.jobsDone = bs.jobsDone;
-        ps.instsRetired = bs.instsRetired;
-        ps.cacheHits = bs.cacheHits;
-        ps.cacheMisses = bs.cacheMisses;
-        if (lease != 0)
-            ps.lease = std::to_string(lease);
-        std::lock_guard<std::mutex> lock(writeMutex);
-        try {
-            ipc::writeFrame(fd, ipc::kFrameStats,
-                            serializePeerStats(ps));
-        } catch (const SimError &) {
-            // Coordinator gone; the main loop will see it.
-        }
-    }
-
-    /**
-     * Read one frame in shutdown-aware slices. `silence_ms` bounds
-     * how long we tolerate a totally quiet coordinator before
-     * declaring it partitioned (Timeout).
-     */
-    ipc::ReadStatus
-    readSliced(ipc::Frame *f, unsigned silence_ms)
-    {
-        Clock::time_point deadline =
-            Clock::now() + std::chrono::milliseconds(silence_ms);
-        for (;;) {
-            if (shutdownRequested())
-                return ipc::ReadStatus::Timeout;
-            int left = static_cast<int>(
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    deadline - Clock::now())
-                    .count());
-            if (left <= 0)
-                return ipc::ReadStatus::Timeout;
-            int slice = left < 200 ? left : 200;
-            ipc::ReadStatus st = chan.read(f, slice);
-            if (st != ipc::ReadStatus::Timeout)
-                return st;
-        }
-    }
-};
-
-/** Handle the coordinator's CONFIG frame: lease duration and the two
- *  forwarded fault plans. */
-bool
-applyRemoteConfig(RemoteConn &conn, const std::string &body)
-{
-    ipc::BodyCursor cur{body};
-    std::string line;
-    if (!cur.line(&line) ||
-        !parseVersionedHeader(line, "vanguard-workerconfig",
-                              kWorkerConfigVersion, nullptr))
-        return false;
-    std::string plan_spec, net_plan_spec;
-    while (cur.line(&line)) {
-        std::istringstream ls(line);
-        std::string key;
-        ls >> key;
-        if (key == "heartbeat-ms") {
-            ls >> conn.leaseMs;
-            if (conn.leaseMs == 0)
-                conn.leaseMs = 1;
-        } else if (key == "blob") {
-            std::string name;
-            size_t len = 0;
-            ls >> name >> len;
-            std::string data;
-            if (!cur.raw(len, &data))
-                return false;
-            if (name == "fault-plan")
-                plan_spec = std::move(data);
-            else if (name == "net-fault-plan")
-                net_plan_spec = std::move(data);
-        }
-    }
-    try {
-        if (plan_spec.empty())
-            faultinject::disarm();
-        else
-            faultinject::arm(parseFaultPlan(plan_spec));
-        if (net_plan_spec.empty())
-            faultinject::disarmNet();
-        else
-            faultinject::armNet(parseFaultPlan(net_plan_spec));
-    } catch (const SimError &) {
-        return false;
-    }
-    return true;
-}
-
-/** Execute one leased job: renew from a side thread while the body
- *  runs, then deliver the result until acknowledged. */
-ConnOutcome
-serveLease(RemoteConn &conn, JobBodyRunner &runner, uint64_t lease,
-           const WorkerJob &job)
-{
-    std::atomic<bool> done{false};
-    std::atomic<bool> conn_lost{false};
-    std::thread renew([&] {
-        unsigned interval = heartbeatIntervalMs(conn.leaseMs);
-        while (!done.load(std::memory_order_acquire)) {
-            unsigned slept = 0;
-            while (slept < interval &&
-                   !done.load(std::memory_order_acquire)) {
-                unsigned step =
-                    interval - slept < 25 ? interval - slept : 25;
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(step));
-                slept += step;
-            }
-            if (done.load(std::memory_order_acquire))
-                break;
-            if (conn.send(ipc::kFrameRenew, renewBody(lease)) ==
-                ipc::SendStatus::Disconnected)
-                conn_lost.store(true, std::memory_order_release);
-            else
-                conn.sendStatsAdvisory(runner, job.phase.c_str(),
-                                       lease);
-        }
-    });
-
-    WorkerResult res = runner.run(job);
-
-    done.store(true, std::memory_order_release);
-    renew.join();
-    if (conn_lost.load(std::memory_order_acquire))
-        return ConnOutcome::Lost;
-
-    std::ostringstream os;
-    os << "vanguard-remoteresult v" << kRemoteResultVersion << "\n";
-    os << "lease " << lease << "\n";
-    std::string body = os.str();
-    ipc::appendBlob(&body, "result", serializeWorkerResult(res));
-
-    // At-least-once delivery: retransmit until the coordinator ACKs.
-    // A lost ACK therefore produces a duplicate completion on the
-    // coordinator, which reconciles it by byte-comparison. On
-    // connection loss the unACKed result is simply discarded —
-    // re-execution after the re-grant is idempotent.
-    for (unsigned attempt = 0; attempt < 5; ++attempt) {
-        ipc::SendStatus st = conn.send(ipc::kFrameResult, body);
-        if (st == ipc::SendStatus::Disconnected)
-            return ConnOutcome::Lost;
-        // Await the ACK (a Dropped send just looks like a lost ACK).
-        Clock::time_point deadline =
-            Clock::now() + std::chrono::milliseconds(conn.leaseMs);
-        while (Clock::now() < deadline) {
-            ipc::Frame f;
-            ipc::ReadStatus rst;
-            try {
-                rst = conn.readSliced(
-                    &f, static_cast<unsigned>(
-                            std::chrono::duration_cast<
-                                std::chrono::milliseconds>(
-                                deadline - Clock::now())
-                                .count() +
-                            1));
-            } catch (const SimError &) {
-                return ConnOutcome::Lost;
-            }
-            if (rst == ipc::ReadStatus::Eof)
-                return ConnOutcome::Lost;
-            if (rst == ipc::ReadStatus::Timeout)
-                break; // retransmit
-            if (f.type == ipc::kFrameResultAck) {
-                ipc::BodyCursor cur{f.body};
-                std::string line;
-                if (cur.line(&line) &&
-                    parseVersionedHeader(line, "vanguard-ack",
-                                         kAckVersion, nullptr) &&
-                    parseLeaseField(&cur) == lease)
-                    return ConnOutcome::Acked;
-                continue; // stale ack for an older lease
-            }
-            if (f.type == ipc::kFrameDrain) {
-                // The coordinator only drains once the sweep has
-                // every result it needs; if ours mattered it was
-                // recorded (possibly via a re-grant). Exit cleanly.
-                return ConnOutcome::Drained;
-            }
-            // Heartbeats and anything else: keep waiting.
-        }
-        if (shutdownRequested())
-            return ConnOutcome::Shutdown;
-    }
-    return ConnOutcome::Lost; // coordinator unresponsive: reconnect
-}
-
-ConnOutcome
-serveConnection(RemoteConn &conn, JobBodyRunner &runner)
-{
-    std::ostringstream hello;
-    hello << "vanguard-remote v" << kRemoteHelloVersion << "\n";
-    hello << "pid " << ::getpid() << "\n";
-    if (conn.send(ipc::kFrameHello, hello.str()) !=
-        ipc::SendStatus::Ok)
-        return ConnOutcome::Lost;
-
-    // Config must arrive before any claim.
-    for (;;) {
-        ipc::Frame f;
-        ipc::ReadStatus st;
-        try {
-            st = conn.readSliced(&f, 10000);
-        } catch (const SimError &) {
-            return ConnOutcome::Lost;
-        }
-        if (shutdownRequested())
-            return ConnOutcome::Shutdown;
-        if (st != ipc::ReadStatus::Ok)
-            return ConnOutcome::Lost;
-        if (f.type == ipc::kFrameConfig) {
-            if (!applyRemoteConfig(conn, f.body))
-                return ConnOutcome::Lost;
-            break;
-        }
-        if (f.type == ipc::kFrameDrain)
-            return ConnOutcome::Drained;
-    }
-
-    // Claim/execute/report until drained.
-    for (;;) {
-        if (shutdownRequested())
-            return ConnOutcome::Shutdown;
-        if (conn.send(ipc::kFrameClaim, claimBody()) ==
-            ipc::SendStatus::Disconnected)
-            return ConnOutcome::Lost;
-        conn.sendStatsAdvisory(runner, "claim", 0);
-
-        // Await the lease. Re-claim if the coordinator stays quiet
-        // for a lease period (a dropped CLAIM or LEASE frame), and
-        // declare it partitioned after two with *no* traffic at all.
-        Clock::time_point claim_sent = Clock::now();
-        bool leased = false;
-        uint64_t lease = 0;
-        WorkerJob job;
-        while (!leased) {
-            ipc::Frame f;
-            ipc::ReadStatus st;
-            try {
-                st = conn.readSliced(&f, 2 * conn.leaseMs);
-            } catch (const SimError &) {
-                return ConnOutcome::Lost;
-            }
-            if (shutdownRequested())
-                return ConnOutcome::Shutdown;
-            if (st == ipc::ReadStatus::Eof)
-                return ConnOutcome::Lost;
-            if (st == ipc::ReadStatus::Timeout)
-                return ConnOutcome::Lost; // total silence: reconnect
-            if (f.type == ipc::kFrameDrain) {
-                ipc::BodyCursor cur{f.body};
-                std::string line;
-                cur.line(&line);
-                bool final_drain = false;
-                while (cur.line(&line)) {
-                    std::istringstream ls(line);
-                    std::string key;
-                    int v = 0;
-                    ls >> key >> v;
-                    if (key == "final")
-                        final_drain = v != 0;
-                }
-                if (final_drain)
-                    return ConnOutcome::Drained;
-                continue; // soft drain: stay connected, stop claiming
-            }
-            if (f.type == ipc::kFrameLease) {
-                ipc::BodyCursor cur{f.body};
-                std::string line;
-                if (!cur.line(&line) ||
-                    !parseVersionedHeader(line, "vanguard-lease",
-                                          kLeaseVersion, nullptr))
-                    return ConnOutcome::Lost;
-                std::string job_bytes;
-                while (cur.line(&line)) {
-                    std::istringstream ls(line);
-                    std::string key;
-                    ls >> key;
-                    if (key == "lease") {
-                        unsigned long long v = 0;
-                        ls >> v;
-                        lease = v;
-                    } else if (key == "lease-ms") {
-                        ls >> conn.leaseMs;
-                        if (conn.leaseMs == 0)
-                            conn.leaseMs = 1;
-                    } else if (key == "blob") {
-                        std::string name;
-                        size_t len = 0;
-                        ls >> name >> len;
-                        std::string data;
-                        if (!cur.raw(len, &data))
-                            return ConnOutcome::Lost;
-                        if (name == "job")
-                            job_bytes = std::move(data);
-                    }
-                }
-                std::string err;
-                if (lease == 0 ||
-                    !parseWorkerJob(job_bytes, &job, &err))
-                    return ConnOutcome::Lost;
-                leased = true;
-                continue;
-            }
-            // Heartbeats (idle queue) and strays: keep waiting, but
-            // nudge with a fresh claim if a lease period passed (our
-            // CLAIM may have been dropped on the wire).
-            if (Clock::now() - claim_sent >
-                std::chrono::milliseconds(conn.leaseMs)) {
-                if (conn.send(ipc::kFrameClaim, claimBody()) ==
-                    ipc::SendStatus::Disconnected)
-                    return ConnOutcome::Lost;
-                conn.sendStatsAdvisory(runner, "claim", 0);
-                claim_sent = Clock::now();
-            }
-        }
-
-        ConnOutcome out = serveLease(conn, runner, lease, job);
-        if (out != ConnOutcome::Acked)
-            return out;
-        // Result acknowledged: claim the next job.
-    }
-}
-
-} // namespace
-
-int
-runRemoteWorker(const std::string &host, uint16_t port)
-{
-    // One body runner for the whole process: the artifact cache
-    // survives reconnects, so a flapping network doesn't force
-    // retrain/recompile of what this worker already built.
-    JobBodyRunner runner;
-    faultinject::maybeArmNetFromEnv();
-
-    const uint64_t pid = static_cast<uint64_t>(::getpid());
-    uint64_t attempt = 0;
-    unsigned consecutive_failures = 0;
-    BackoffPolicy backoff;
-    bool warned = false;
-
-    for (;;) {
-        if (shutdownRequested())
-            return 0;
-        unsigned delay = backoff.delayMs(consecutive_failures);
-        if (delay != 0) {
-            // Jitter: a fleet of workers restarted together must not
-            // hammer a recovering coordinator in lockstep.
-            delay += static_cast<unsigned>(mixJitter(pid ^ attempt) %
-                                           (delay / 2 + 1));
-            if (!interruptibleSleep(delay))
-                return 0;
-        }
-        attempt++;
-
-        std::string err;
-        int fd = ipc::connectTcp(host, port, &err);
-        if (fd < 0) {
-            consecutive_failures++;
-            if (!warned || consecutive_failures % 32 == 0) {
-                vg_warn("remote worker: %s (attempt %llu); retrying",
-                        err.c_str(),
-                        static_cast<unsigned long long>(attempt));
-                warned = true;
-            }
-            continue;
-        }
-
-        RemoteConn conn{fd, ipc::FrameChannel(fd),
-                        ipc::netConnScope(pid, attempt)};
-        ConnOutcome out;
-        try {
-            out = serveConnection(conn, runner);
-        } catch (const SimError &e) {
-            vg_warn("remote worker: connection error: %s",
-                    e.detail().c_str());
-            out = ConnOutcome::Lost;
-        }
-        ::close(fd);
-        if (out == ConnOutcome::Drained) {
-            vg_inform("remote worker: drained by coordinator; exiting");
-            return 0;
-        }
-        if (out == ConnOutcome::Shutdown)
-            return 0;
-        consecutive_failures =
-            consecutive_failures == 0 ? 1 : consecutive_failures + 1;
-    }
-}
-
-#else // !VANGUARD_FABRIC_POSIX
-
-struct Coordinator::Impl
-{
-};
-
-bool
-Coordinator::supported()
-{
-    return false;
-}
-
-Coordinator::Coordinator(const Options &)
-{
-    vg_throw(Config,
-             "the sweep fabric is not supported on this platform");
-}
-
-Coordinator::~Coordinator() = default;
-
-uint16_t
-Coordinator::port() const
-{
-    return 0;
-}
-
-WorkerResult
-Coordinator::execute(WorkerJob)
-{
-    vg_throw(Config,
-             "the sweep fabric is not supported on this platform");
-}
-
-void Coordinator::shutdown() {}
-
-Coordinator::Stats
-Coordinator::stats() const
-{
-    return {};
-}
-
-int
-runRemoteWorker(const std::string &, uint16_t)
-{
-    return 2;
-}
-
-#endif // VANGUARD_FABRIC_POSIX
 
 } // namespace vanguard

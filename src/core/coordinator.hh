@@ -1,13 +1,15 @@
 /**
  * @file
  * Distributed sweep fabric: a TCP coordinator that leases job indices
- * to remote workers, plus the remote-worker client loop.
+ * to remote workers.
  *
- * This is the networked half of the worker architecture PR 7 started:
- * the same self-contained job bodies (core/worker_pool.hh WorkerJob /
- * WorkerResult, codecs and all) now cross a TCP socket instead of a
- * socketpair, speaking the same CRC-framed protocol
- * (support/ipc.hh). Every piece of sweep bookkeeping — journal,
+ * This is the networked half of the worker architecture: the same
+ * self-contained job bodies (core/worker_pool.hh WorkerJob /
+ * WorkerResult, codecs and all) cross a TCP socket instead of a
+ * socketpair, and the remote worker (runRemoteWorker in
+ * core/worker_pool.hh) runs the very loop a `--worker` process runs,
+ * speaking the same CRC-framed protocol (support/ipc.hh). Every piece
+ * of sweep bookkeeping — journal,
  * metric merges, result slots, retry policy, artifact reuse — stays
  * in the coordinator process, which is exactly why a distributed run
  * is byte-identical to an in-process one: the runner consumes the
@@ -53,10 +55,10 @@
  * delivery + idempotent ledger merge = exactly-once effect, and the
  * byte-compare is the proof it held.
  *
- * Robustness policy (mirroring the PR 7 supervisor where it applies):
- * late-joining workers are admitted at any time; a worker identity
- * ("pid@ip") that loses leases is re-granted work only after the
- * shared BackoffPolicy delay; a job that loses quarantineDeaths
+ * Robustness policy (the worker pool's SupervisionLedger, applied to
+ * leases): late-joining workers are admitted at any time; a worker
+ * identity ("pid@ip") that loses leases is re-granted work only after
+ * the shared BackoffPolicy delay; a job that loses quarantineDeaths
  * consecutive leases is failed as poison (SimError(Internal)) instead
  * of starving the queue; restartStormLimit consecutive lease losses
  * with no completion anywhere break the fabric loudly. SIGINT/SIGTERM
@@ -65,16 +67,18 @@
  * records *nothing* for them, keeping resume byte-identity — while
  * leased offers run to completion and checkpoint.
  *
- * The remote worker (runRemoteWorker) wraps JobBodyRunner in a
- * claim/execute/report loop, renews its lease from a side thread
- * while the body runs, retransmits unacknowledged results, and
- * reconnects with jittered exponential backoff across coordinator
- * restarts and injected partitions (journal resume makes the
- * coordinator itself crash-safe; an unACKed result is simply
- * discarded on reconnect because re-execution is idempotent).
+ * The remote worker renews its lease from a side thread while the body
+ * runs, retransmits unacknowledged results, and reconnects with
+ * jittered exponential backoff across coordinator restarts and
+ * injected partitions (journal resume makes the coordinator itself
+ * crash-safe; an unACKed result is simply discarded on reconnect
+ * because re-execution is idempotent).
  *
- * POSIX-only, like the rest of the transport; Coordinator::supported()
- * gates it and the CLI maps unsupported platforms to exit 2.
+ * The coordinator keeps its own dispatch state machine rather than
+ * sharing the pool's: a silent remote worker's lease is re-granted,
+ * where a silent local worker's job fails as a Hang, and its service
+ * loop polls every 10 ms, which the pool's blocking per-slot dispatch
+ * does not pay per job.
  */
 
 #ifndef VANGUARD_CORE_COORDINATOR_HH
@@ -133,9 +137,6 @@ class Coordinator
         TelemetryHub *telemetry = nullptr;
     };
 
-    /** Does this build/platform carry the TCP fabric? */
-    static bool supported();
-
     /** Binds the listener and starts the service thread. Throws
      *  SimError(Io) if the port cannot be bound. */
     explicit Coordinator(const Options &opts);
@@ -180,16 +181,6 @@ class Coordinator
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
-
-/**
- * Remote-worker entry (`vanguard_cli --remote-worker host:port`):
- * claim/execute/report against a coordinator until a final DRAIN
- * frame or a shutdown signal. Returns the process exit code (0 =
- * drained or signalled, 1 = unrecoverable local error). Connection
- * loss is not an error: the loop reconnects with jittered exponential
- * backoff indefinitely, surviving coordinator restarts.
- */
-int runRemoteWorker(const std::string &host, uint16_t port);
 
 } // namespace vanguard
 

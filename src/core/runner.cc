@@ -440,7 +440,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
     // Process isolation: train and simulate bodies execute inside a
     // supervised pool of worker processes; compile and all bookkeeping
     // stay here. Declared before the thread pool so destruction joins
-    // the job threads first, then drains the workers (QUIT + one
+    // the job threads first, then drains the workers (DRAIN + one
     // SIGTERM each, bounded reap — no zombies).
     std::unique_ptr<WorkerPool> wpool;
     if (ropts.coordinator != nullptr &&
@@ -450,11 +450,6 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                  "exclusive: pick one remote-body transport");
     }
     if (ropts.isolation == JobIsolation::process) {
-        if (!WorkerPool::supported()) {
-            vg_throw(Config,
-                     "process isolation (--isolate-jobs) is not "
-                     "supported on this platform");
-        }
         WorkerPool::Options wo;
         wo.workers = ThreadPool::resolveWorkerCount(ropts.jobs);
         wo.execPath = ropts.workerExecPath;

@@ -115,8 +115,7 @@ struct RunnerOptions
      *  hardware_concurrency (ThreadPool::resolveWorkerCount). */
     unsigned jobs = 0;
 
-    /** Job-body execution mode; `process` requires
-     *  WorkerPool::supported() (SimError(Config) otherwise). */
+    /** Job-body execution mode (see JobIsolation). */
     JobIsolation isolation = JobIsolation::inproc;
 
     /** Process mode: worker heartbeat deadline in ms (a silent worker

@@ -93,13 +93,7 @@ compileConfig(const BenchmarkSpec &spec, const TrainArtifacts &train,
     if (dstats_out != nullptr)
         *dstats_out = dstats;
 
-    ScheduleOptions sched;
-    sched.width = opts.width;
-    MachineConfig mc = opts.machine();
-    sched.memPorts = mc.memPorts;
-    sched.intPorts = mc.intPorts;
-    sched.fpPorts = mc.fpPorts;
-    scheduleFunction(fn, sched);
+    scheduleFunction(fn);
 
     out.prog = linearize(fn);
     out.staticInsts = out.prog.size();

@@ -1,18 +1,25 @@
 /**
  * @file
  * Worker-pool implementation: frame-body codecs, the supervisor, and
- * the worker-process entry. See worker_pool.hh for the design.
+ * the worker loop shared by `--worker` and `--remote-worker`. See
+ * worker_pool.hh for the design.
  */
 
 #include "core/worker_pool.hh"
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <thread>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "core/journal.hh"
 #include "profile/profile_io.hh"
@@ -23,23 +30,12 @@
 #include "support/telemetry.hh"
 #include "support/versioned_format.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define VANGUARD_WORKER_POSIX 1
-#include <cerrno>
-#include <csignal>
-#include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
 namespace vanguard {
 
 namespace {
 
-constexpr unsigned kWorkerJobVersion = 1;
-constexpr unsigned kWorkerResultVersion = 1;
-constexpr unsigned kWorkerConfigVersion = 1;
-constexpr unsigned kWorkerHelloVersion = 1;
+/** Every frame body of the protocol is at this version. */
+constexpr unsigned kBodyVersion = 1;
 
 std::string
 hexU64(uint64_t v)
@@ -71,10 +67,56 @@ parseU64(const std::string &tok)
     return std::strtoull(tok.c_str(), nullptr, 0);
 }
 
-// Frame bodies are built with ipc::appendBlob and walked with
-// ipc::BodyCursor — shared with the coordinator's lease codecs.
 using ipc::appendBlob;
-using Cursor = ipc::BodyCursor;
+
+/**
+ * Walk a frame body: check its "<magic> v1" header, then hand each
+ * non-empty text line to on_line(key, rest) and each blob to
+ * on_blob(name, bytes); either may return false to fail the parse.
+ * False on a missing header or a blob that overruns the body.
+ */
+template <class OnLine, class OnBlob>
+bool
+walkBody(const std::string &body, const char *magic, std::string *error,
+         OnLine on_line, OnBlob on_blob)
+{
+    ipc::BodyCursor cur{body};
+    std::string line;
+    if (!cur.line(&line) ||
+        !parseVersionedHeader(line, magic, kBodyVersion, nullptr)) {
+        *error = std::string("missing ") + magic + " header";
+        return false;
+    }
+    while (cur.line(&line)) {
+        if (line.empty())
+            continue;
+        std::istringstream ls(line);
+        std::string key;
+        ls >> key;
+        if (key != "blob") {
+            if (!on_line(key, ls))
+                return false;
+            continue;
+        }
+        std::string name, data;
+        size_t len = 0;
+        ls >> name >> len;
+        if (!cur.raw(len, &data)) {
+            *error = "truncated blob '" + name + "'";
+            return false;
+        }
+        if (!on_blob(name, data))
+            return false;
+    }
+    return true;
+}
+
+/** For bodies whose blobs, if any, are ignored. */
+bool
+skipBlob(const std::string &, std::string &)
+{
+    return true;
+}
 
 /**
  * Exact option serialization for job frames. Mirrors the replay
@@ -177,7 +219,7 @@ std::string
 serializeWorkerJob(const WorkerJob &job)
 {
     std::ostringstream os;
-    os << "vanguard-workerjob v" << kWorkerJobVersion << "\n";
+    os << "vanguard-workerjob v" << kBodyVersion << "\n";
     os << "phase " << job.phase << "\n";
     os << "slot " << job.slot << "\n";
     os << "scope " << hexU64(job.scopeKey) << "\n";
@@ -219,20 +261,7 @@ bool
 parseWorkerJob(const std::string &body, WorkerJob *out,
                std::string *error)
 {
-    Cursor cur{body};
-    std::string line;
-    if (!cur.line(&line) ||
-        !parseVersionedHeader(line, "vanguard-workerjob",
-                              kWorkerJobVersion, nullptr)) {
-        *error = "missing vanguard-workerjob header";
-        return false;
-    }
-    while (cur.line(&line)) {
-        if (line.empty())
-            continue;
-        std::istringstream ls(line);
-        std::string key;
-        ls >> key;
+    auto on_line = [&](const std::string &key, std::istringstream &ls) {
         if (key == "phase") {
             ls >> out->phase;
         } else if (key == "slot") {
@@ -292,22 +321,19 @@ parseWorkerJob(const std::string &body, WorkerJob *out,
             }
         } else if (key == "opt") {
             parseOptLine(ls, &out->options);
-        } else if (key == "blob") {
-            std::string name;
-            size_t len = 0;
-            ls >> name >> len;
-            std::string data;
-            if (!cur.raw(len, &data)) {
-                *error = "truncated blob '" + name + "'";
-                return false;
-            }
-            if (name == "profile")
-                out->profileText = std::move(data);
         } else {
             *error = "unknown job key '" + key + "'";
             return false;
         }
-    }
+        return true;
+    };
+    auto on_blob = [&](const std::string &name, std::string &data) {
+        if (name == "profile")
+            out->profileText = std::move(data);
+        return true;
+    };
+    if (!walkBody(body, "vanguard-workerjob", error, on_line, on_blob))
+        return false;
     if (out->phase != "train" && out->phase != "simulate") {
         *error = "bad job phase '" + out->phase + "'";
         return false;
@@ -320,7 +346,7 @@ std::string
 serializeWorkerResult(const WorkerResult &res)
 {
     std::ostringstream os;
-    os << "vanguard-workerresult v" << kWorkerResultVersion << "\n";
+    os << "vanguard-workerresult v" << kBodyVersion << "\n";
     os << "slot " << res.slot << "\n";
     os << "status " << (res.ok ? "ok" : "fail") << "\n";
     os << "injected";
@@ -352,59 +378,44 @@ bool
 parseWorkerResult(const std::string &body, WorkerResult *out,
                   std::string *error)
 {
-    Cursor cur{body};
-    std::string line;
-    if (!cur.line(&line) ||
-        !parseVersionedHeader(line, "vanguard-workerresult",
-                              kWorkerResultVersion, nullptr)) {
-        *error = "missing vanguard-workerresult header";
-        return false;
-    }
     bool saw_record = false;
-    while (cur.line(&line)) {
-        if (line.empty())
-            continue;
-        std::istringstream ls(line);
-        std::string key;
-        ls >> key;
+    auto on_line = [&](const std::string &key, std::istringstream &ls) {
         if (key == "slot") {
             ls >> out->slot;
         } else if (key == "status") {
-            std::string s; ls >> s;
-            out->ok = s == "ok";
+            std::string st; ls >> st;
+            out->ok = st == "ok";
         } else if (key == "injected") {
             for (uint64_t &c : out->injected)
                 ls >> c;
         } else if (key == "kind") {
             std::string k; ls >> k;
             out->kind = SimError::kindFromName(k);
-        } else if (key == "blob") {
-            std::string name;
-            size_t len = 0;
-            ls >> name >> len;
-            std::string data;
-            if (!cur.raw(len, &data)) {
-                *error = "truncated blob '" + name + "'";
-                return false;
-            }
-            if (name == "profile") {
-                out->profileText = std::move(data);
-            } else if (name == "message") {
-                out->message = std::move(data);
-            } else if (name == "record") {
-                JournalRecord rec;
-                if (!parseJournalRecord(data, &rec)) {
-                    *error = "corrupt stats record in result";
-                    return false;
-                }
-                out->stats = rec.stats;
-                saw_record = true;
-            }
         } else {
             *error = "unknown result key '" + key + "'";
             return false;
         }
-    }
+        return true;
+    };
+    auto on_blob = [&](const std::string &name, std::string &data) {
+        if (name == "profile") {
+            out->profileText = std::move(data);
+        } else if (name == "message") {
+            out->message = std::move(data);
+        } else if (name == "record") {
+            JournalRecord rec;
+            if (!parseJournalRecord(data, &rec)) {
+                *error = "corrupt stats record in result";
+                return false;
+            }
+            out->stats = rec.stats;
+            saw_record = true;
+        }
+        return true;
+    };
+    if (!walkBody(body, "vanguard-workerresult", error, on_line,
+                  on_blob))
+        return false;
     if (out->ok && out->profileText.empty() && !saw_record) {
         *error = "ok result carries neither profile nor stats";
         return false;
@@ -421,7 +432,176 @@ workerRttBoundsMs()
     return bounds;
 }
 
-#ifdef VANGUARD_WORKER_POSIX
+// ---------------------------------------------------------------------
+// Lease-protocol bodies
+// ---------------------------------------------------------------------
+
+std::string
+serializeWorkerHello(uint64_t pid)
+{
+    return detail::csprintf("vanguard-remote v%u\npid %llu\n",
+                            kBodyVersion,
+                            static_cast<unsigned long long>(pid));
+}
+
+bool
+parseWorkerHello(const std::string &body, uint64_t *pid)
+{
+    std::string error;
+    *pid = 0;
+    return walkBody(
+        body, "vanguard-remote", &error,
+        [&](const std::string &key, std::istringstream &ls) {
+            if (key == "pid")
+                ls >> *pid;
+            return true;
+        },
+        skipBlob);
+}
+
+std::string
+serializeWorkerConfig(const WorkerConfig &cfg)
+{
+    std::string body =
+        detail::csprintf("vanguard-workerconfig v%u\nheartbeat-ms %u\n",
+                         kBodyVersion, cfg.leaseMs);
+    appendBlob(&body, "fault-plan", cfg.faultPlan);
+    appendBlob(&body, "net-fault-plan", cfg.netFaultPlan);
+    return body;
+}
+
+bool
+parseWorkerConfig(const std::string &body, WorkerConfig *out)
+{
+    std::string error;
+    bool ok = walkBody(
+        body, "vanguard-workerconfig", &error,
+        [&](const std::string &key, std::istringstream &ls) {
+            if (key == "heartbeat-ms")
+                ls >> out->leaseMs;
+            return true;
+        },
+        [&](const std::string &name, std::string &data) {
+            if (name == "fault-plan")
+                out->faultPlan = std::move(data);
+            else if (name == "net-fault-plan")
+                out->netFaultPlan = std::move(data);
+            return true;
+        });
+    if (out->leaseMs == 0)
+        out->leaseMs = 1;
+    return ok;
+}
+
+std::string
+serializeLease(uint64_t lease, unsigned lease_ms, const WorkerJob &job)
+{
+    std::string body =
+        detail::csprintf("vanguard-lease v%u\nlease %llu\nlease-ms %u\n",
+                         kBodyVersion,
+                         static_cast<unsigned long long>(lease), lease_ms);
+    appendBlob(&body, "job", serializeWorkerJob(job));
+    return body;
+}
+
+bool
+parseLease(const std::string &body, uint64_t *lease, unsigned *lease_ms,
+           WorkerJob *job, std::string *error)
+{
+    *lease = 0;
+    std::string job_bytes;
+    bool ok = walkBody(
+        body, "vanguard-lease", error,
+        [&](const std::string &key, std::istringstream &ls) {
+            if (key == "lease")
+                ls >> *lease;
+            else if (key == "lease-ms")
+                ls >> *lease_ms;
+            return true;
+        },
+        [&](const std::string &name, std::string &data) {
+            if (name == "job")
+                job_bytes = std::move(data);
+            return true;
+        });
+    if (!ok)
+        return false;
+    if (*lease == 0) {
+        *error = "lease carries no lease id";
+        return false;
+    }
+    if (*lease_ms == 0)
+        *lease_ms = 1;
+    return parseWorkerJob(job_bytes, job, error);
+}
+
+std::string
+serializeResultEnvelope(uint64_t lease, const WorkerResult &res)
+{
+    std::string body =
+        detail::csprintf("vanguard-remoteresult v%u\nlease %llu\n",
+                         kBodyVersion,
+                         static_cast<unsigned long long>(lease));
+    appendBlob(&body, "result", serializeWorkerResult(res));
+    return body;
+}
+
+bool
+parseResultEnvelope(const std::string &body, uint64_t *lease,
+                    std::string *result_bytes, std::string *error)
+{
+    *lease = 0;
+    bool have_result = false;
+    bool ok = walkBody(
+        body, "vanguard-remoteresult", error,
+        [&](const std::string &key, std::istringstream &ls) {
+            if (key == "lease")
+                ls >> *lease;
+            return true;
+        },
+        [&](const std::string &name, std::string &data) {
+            if (name == "result") {
+                *result_bytes = std::move(data);
+                have_result = true;
+            }
+            return true;
+        });
+    if (ok && (*lease == 0 || !have_result)) {
+        *error = "malformed result frame";
+        return false;
+    }
+    return ok;
+}
+
+std::string
+serializeLeaseRef(const char *magic, uint64_t lease)
+{
+    return detail::csprintf("%s v%u\nlease %llu\n", magic, kBodyVersion,
+                            static_cast<unsigned long long>(lease));
+}
+
+uint64_t
+parseLeaseRef(const std::string &body, const char *magic)
+{
+    std::string error;
+    uint64_t lease = 0;
+    bool ok = walkBody(
+        body, magic, &error,
+        [&](const std::string &key, std::istringstream &ls) {
+            if (key == "lease")
+                ls >> lease;
+            return true;
+        },
+        skipBlob);
+    return ok ? lease : 0;
+}
+
+std::string
+serializeDrain(bool final_drain)
+{
+    return detail::csprintf("vanguard-drain v%u\nfinal %d\n",
+                            kBodyVersion, final_drain ? 1 : 0);
+}
 
 // ---------------------------------------------------------------------
 // Supervisor
@@ -469,13 +649,8 @@ struct WorkerPool::Slot
     unsigned spawnFailures = 0;
 };
 
-bool
-WorkerPool::supported()
-{
-    return ipc::ipcSupported();
-}
-
-WorkerPool::WorkerPool(const Options &opts) : opts_(opts)
+WorkerPool::WorkerPool(const Options &opts)
+    : opts_(opts), ledger_(opts.quarantineDeaths, opts.restartStormLimit)
 {
     if (opts_.workers == 0)
         opts_.workers = 1;
@@ -582,11 +757,12 @@ WorkerPool::spawnWorker(Slot &slot)
     slot.chan.reset(fds[0]);
 
     // Handshake: hello within the deadline, versioned header, then
-    // the config frame (heartbeat interval + fault plan).
+    // the config frame (lease length + fault plan).
     bool hello_ok = false;
     std::string why;
     try {
         ipc::Frame hello;
+        uint64_t hello_pid = 0;
         ipc::ReadStatus st =
             slot.chan.read(&hello,
                            static_cast<int>(opts_.helloTimeoutMs));
@@ -597,29 +773,21 @@ WorkerPool::spawnWorker(Slot &slot)
         } else if (hello.type != ipc::kFrameHello) {
             why = detail::csprintf("expected hello, got frame '%c'",
                                    hello.type);
+        } else if (!parseWorkerHello(hello.body, &hello_pid)) {
+            why = "worker hello carries no vanguard-remote header";
         } else {
-            std::string first = hello.body.substr(
-                0, hello.body.find('\n'));
-            if (!parseVersionedHeader(first, "vanguard-worker",
-                                      kWorkerHelloVersion, nullptr)) {
-                why = "worker hello carries no vanguard-worker header";
-            } else {
-                std::ostringstream cfg;
-                cfg << "vanguard-workerconfig v"
-                    << kWorkerConfigVersion << "\n";
-                cfg << "heartbeat-ms " << opts_.heartbeatTimeoutMs
-                    << "\n";
-                std::string body = cfg.str();
-                appendBlob(&body, "fault-plan", opts_.faultPlanSpec);
-                ipc::writeFrame(slot.fd, ipc::kFrameConfig, body);
-                hello_ok = true;
-            }
+            WorkerConfig cfg;
+            cfg.leaseMs = opts_.heartbeatTimeoutMs;
+            cfg.faultPlan = opts_.faultPlanSpec;
+            ipc::writeFrame(slot.fd, ipc::kFrameConfig,
+                            serializeWorkerConfig(cfg));
+            hello_ok = true;
         }
     } catch (const SimError &e) {
         why = e.detail();
     }
     if (!hello_ok) {
-        killWorker(slot, false);
+        retireWorker(slot, true);
         vg_throw(Io, "worker %zu (pid %d) handshake failed: %s",
                  slot.idx, pid, why.c_str());
     }
@@ -639,8 +807,8 @@ WorkerPool::spawnWorker(Slot &slot)
     slot.everSpawned = true;
 }
 
-void
-WorkerPool::killWorker(Slot &slot, bool already_dead)
+std::string
+WorkerPool::retireWorker(Slot &slot, bool sigkill)
 {
     int pid, fd;
     {
@@ -651,59 +819,35 @@ WorkerPool::killWorker(Slot &slot, bool already_dead)
         slot.fd = -1;
         slot.alive = false;
     }
+    std::string fate = "could not be reaped";
     if (pid > 0) {
-        if (!already_dead)
+        if (sigkill)
             ::kill(pid, SIGKILL);
         int status = 0;
-        while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+        pid_t r;
+        while ((r = ::waitpid(pid, &status, 0)) < 0 && errno == EINTR) {
         }
+        if (r == pid)
+            fate = describeWaitStatus(status);
     }
-    if (fd >= 0)
-        ::close(fd);
-}
-
-std::string
-WorkerPool::reapWorker(Slot &slot)
-{
-    int pid, fd;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        pid = slot.pid;
-        fd = slot.fd;
-        slot.pid = -1;
-        slot.fd = -1;
-        slot.alive = false;
-    }
-    int status = 0;
-    pid_t r;
-    while ((r = ::waitpid(pid, &status, 0)) < 0 && errno == EINTR) {
-    }
-    std::string fate = r == pid ? describeWaitStatus(status)
-                                : "could not be reaped";
     if (fd >= 0)
         ::close(fd);
     return fate;
 }
 
-void
+SupervisionLedger::Loss
 WorkerPool::noteLoss(const std::string &job_key)
 {
-    (void)job_key;
     std::lock_guard<std::mutex> lock(mutex_);
-    if (++consecutiveLosses_ > opts_.restartStormLimit && !broken_) {
-        broken_ = true;
-        brokenReason_ = detail::csprintf(
-            "worker restart storm: %u consecutive worker losses with "
-            "no completed job; breaking the pool",
-            consecutiveLosses_);
-    }
-}
-
-void
-WorkerPool::noteCompletion()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    consecutiveLosses_ = 0;
+    SupervisionLedger::Loss loss = ledger_.noteLoss(job_key);
+    if (loss.storm)
+        ledger_.markBroken(
+            SimError::Kind::Internal,
+            detail::csprintf("worker restart storm: %u consecutive "
+                             "worker losses with no completed job; "
+                             "breaking the pool",
+                             loss.streak));
+    return loss;
 }
 
 size_t
@@ -749,9 +893,7 @@ WorkerPool::ensureAlive(Slot &slot)
     while (!slot.alive) {
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (broken_)
-                throw SimError(SimError::Kind::Internal,
-                               brokenReason_);
+            ledger_.throwIfBroken();
         }
         unsigned delay = opts_.backoff.delayMs(slot.spawnFailures);
         if (delay != 0)
@@ -778,9 +920,7 @@ WorkerPool::execute(WorkerJob job)
     for (;;) {
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (broken_)
-                throw SimError(SimError::Kind::Internal,
-                               brokenReason_);
+            ledger_.throwIfBroken();
         }
         size_t idx = acquireSlot();
         Slot &slot = *slots_[idx];
@@ -792,9 +932,11 @@ WorkerPool::execute(WorkerJob job)
             throw;
         }
 
+        uint64_t lease;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            job.delivery = deliveries_[key]++;
+            job.delivery = ledger_.nextDelivery(key);
+            lease = nextLease_++;
         }
 
         // Dispatch. A write failure (real or injected) means the
@@ -803,11 +945,12 @@ WorkerPool::execute(WorkerJob job)
         try {
             faultinject::site("worker.frame.write",
                               SimError::Kind::Io);
-            ipc::writeFrame(slot.fd, ipc::kFrameJob,
-                            serializeWorkerJob(job));
+            ipc::writeFrame(
+                slot.fd, ipc::kFrameLease,
+                serializeLease(lease, opts_.heartbeatTimeoutMs, job));
         } catch (const SimError &) {
-            killWorker(slot, false);
-            noteLoss(key);
+            retireWorker(slot, true);
+            noteLoss("");
             releaseSlot(idx);
             throw;
         }
@@ -832,17 +975,22 @@ WorkerPool::execute(WorkerJob job)
                     &f, static_cast<int>(opts_.heartbeatTimeoutMs));
             } catch (const SimError &e) {
                 // CRC mismatch / garbage length: protocol desync.
-                killWorker(slot, false);
+                retireWorker(slot, true);
                 worker_lost = true;
                 fate = "protocol desync (" + e.detail() + ")";
                 break;
             }
             if (st == ipc::ReadStatus::Timeout) {
                 int pid = slot.pid;
-                killWorker(slot, false);
+                retireWorker(slot, true);
                 {
+                    // A hang is a determination about the job, not a
+                    // supervision failure: non-transient, no
+                    // quarantine bookkeeping (the runner will not
+                    // retry it).
                     std::lock_guard<std::mutex> lock(mutex_);
                     stats_.heartbeatMisses++;
+                    ledger_.noteCompletion(key);
                 }
                 bumpCounter("engine.worker.heartbeat_misses");
                 flightRecord("error", "worker.heartbeat_miss",
@@ -851,14 +999,6 @@ WorkerPool::execute(WorkerJob job)
                                  "job %zu",
                                  pid, opts_.heartbeatTimeoutMs,
                                  job.phase.c_str(), job.slot));
-                // A hang is a determination about the job, not a
-                // supervision failure: non-transient, no quarantine
-                // bookkeeping (the runner will not retry it).
-                noteCompletion();
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    consecutiveDeaths_.erase(key);
-                }
                 releaseSlot(idx);
                 vg_throw(Hang,
                          "worker heartbeat deadline (%u ms) missed; "
@@ -867,11 +1007,12 @@ WorkerPool::execute(WorkerJob job)
                          job.phase.c_str(), job.slot);
             }
             if (st == ipc::ReadStatus::Eof) {
-                fate = reapWorker(slot);
+                fate = retireWorker(slot, false);
                 worker_lost = true;
                 break;
             }
-            if (f.type == ipc::kFrameHeartbeat)
+            // RENEW and a claim queued while idle are beats.
+            if (f.type == ipc::kFrameRenew || f.type == ipc::kFrameClaim)
                 continue;
             if (f.type == ipc::kFrameStats) {
                 // Advisory live stats: feed the hub and move on. A
@@ -886,73 +1027,65 @@ WorkerPool::execute(WorkerJob job)
                 }
                 continue;
             }
+            std::string err;
             if (f.type == ipc::kFrameResult) {
-                std::string err;
-                WorkerResult parsed;
-                if (!parseWorkerResult(f.body, &parsed, &err)) {
-                    killWorker(slot, false);
-                    worker_lost = true;
-                    fate = "protocol desync (" + err + ")";
-                    break;
+                uint64_t settled = 0;
+                std::string bytes;
+                if (parseResultEnvelope(f.body, &settled, &bytes,
+                                        &err) &&
+                    parseWorkerResult(bytes, &res, &err)) {
+                    if (settled == lease)
+                        break;
+                    err = "result for a stale lease";
                 }
-                res = std::move(parsed);
-                goto have_result;
+            } else {
+                err = detail::csprintf("frame '%c'", f.type);
             }
-            // Unknown frame type: desync.
-            killWorker(slot, false);
+            retireWorker(slot, true);
             worker_lost = true;
-            fate = detail::csprintf("protocol desync (frame '%c')",
-                                    f.type);
+            fate = "protocol desync (" + err + ")";
             break;
         }
 
         if (worker_lost) {
-            unsigned deaths;
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                deaths = ++consecutiveDeaths_[key];
-            }
-            noteLoss(key);
+            SupervisionLedger::Loss loss = noteLoss(key);
             releaseSlot(idx);
             flightRecord("event", "worker.lost",
                          detail::csprintf("%s during %s job %zu "
                                           "(death %u)",
                                           fate.c_str(),
                                           job.phase.c_str(), job.slot,
-                                          deaths));
-            if (deaths >= opts_.quarantineDeaths) {
+                                          loss.deaths));
+            if (loss.quarantine) {
                 {
                     std::lock_guard<std::mutex> lock(mutex_);
                     stats_.quarantinedJobs++;
-                    consecutiveDeaths_.erase(key);
                 }
                 bumpCounter("engine.worker.quarantined_jobs");
                 flightRecord("error", "worker.quarantine",
                              detail::csprintf("%s job %zu killed %u "
                                               "consecutive workers",
                                               job.phase.c_str(),
-                                              job.slot, deaths));
+                                              job.slot, loss.deaths));
                 vg_throw(Internal,
                          "poison job quarantined: %s job %zu killed "
                          "%u consecutive workers (last worker %s)",
-                         job.phase.c_str(), job.slot, deaths,
+                         job.phase.c_str(), job.slot, loss.deaths,
                          fate.c_str());
             }
             vg_warn("worker running %s job %zu %s; redelivering "
                     "(death %u of %u)",
-                    job.phase.c_str(), job.slot, fate.c_str(), deaths,
-                    opts_.quarantineDeaths);
+                    job.phase.c_str(), job.slot, fate.c_str(),
+                    loss.deaths, opts_.quarantineDeaths);
             continue; // redeliver on a fresh worker
         }
 
-    have_result:
         {
             std::lock_guard<std::mutex> lock(mutex_);
             stats_.dataFrames++;
-            consecutiveDeaths_.erase(key);
+            ledger_.noteCompletion(key);
         }
         bumpCounter("engine.worker.frames");
-        noteCompletion();
         for (size_t k = 0; k < FaultPlan::kNumKinds; ++k)
             faultinject::recordRemoteInjections(
                 static_cast<SimError::Kind>(k), res.injected[k]);
@@ -964,6 +1097,14 @@ WorkerPool::execute(WorkerJob job)
             opts_.metrics
                 ->histogram("engine.worker.job_rtt", workerRttBoundsMs())
                 .observe(static_cast<uint64_t>(rtt));
+        }
+        try {
+            ipc::writeFrame(slot.fd, ipc::kFrameResultAck,
+                            serializeLeaseRef("vanguard-ack", lease));
+        } catch (const SimError &) {
+            // The worker died after reporting; the result stands and
+            // the next dispatch to this slot respawns it.
+            retireWorker(slot, true);
         }
         releaseSlot(idx);
         if (!res.ok)
@@ -986,10 +1127,11 @@ WorkerPool::shutdown()
                 live.push_back(s.get());
     }
 
-    // Graceful phase: QUIT frame + exactly one SIGTERM per worker.
+    // Graceful phase: final DRAIN + exactly one SIGTERM per worker.
     for (Slot *s : live) {
         try {
-            ipc::writeFrame(s->fd, ipc::kFrameQuit, "");
+            ipc::writeFrame(s->fd, ipc::kFrameDrain,
+                            serializeDrain(true));
         } catch (const SimError &) {
             // Already dead; the reap below sorts it out.
         }
@@ -1051,66 +1193,10 @@ WorkerPool::stats() const
 }
 
 // ---------------------------------------------------------------------
-// Worker-process entry
+// Worker side
 // ---------------------------------------------------------------------
 
 namespace {
-
-/**
- * Per-(spec, width, config, profile, options) compile cache: a worker
- * simulates every REF seed of a group against one compiled artifact,
- * exactly as the in-process runner shares artifacts across seed jobs.
- */
-struct ArtifactCache
-{
-    struct Entry
-    {
-        uint64_t key;
-        CompiledConfig config;
-    };
-    std::vector<Entry> entries;
-
-    static uint64_t
-    keyOf(const WorkerJob &job)
-    {
-        std::string material = serializeOptionsExact(job.options);
-        material += '|';
-        material += job.specName;
-        material += '|';
-        material += std::to_string(job.config);
-        material += '|';
-        material += std::to_string(job.spec.iterations);
-        uint64_t h = fnv1a64(material);
-        return h ^ (fnv1a64(job.profileText) * 0x9e3779b97f4a7c15ull);
-    }
-
-    CompiledConfig &
-    get(const WorkerJob &job, bool *hit_out)
-    {
-        uint64_t key = keyOf(job);
-        for (Entry &e : entries)
-            if (e.key == key) {
-                if (hit_out != nullptr)
-                    *hit_out = true;
-                return e.config;
-            }
-        if (hit_out != nullptr)
-            *hit_out = false;
-        ProfileParseResult parsed =
-            deserializeProfile(job.profileText);
-        if (!parsed.ok)
-            vg_throw(Io, "job frame carries unreadable profile: %s",
-                     parsed.error.c_str());
-        TrainArtifacts train = trainFromProfile(
-            job.spec, std::move(parsed.profile), job.options);
-        bool decomposed =
-            job.config == 1 && job.options.applyDecomposition;
-        entries.push_back(
-            {key, compileConfig(job.spec, train, decomposed,
-                                job.options)});
-        return entries.back().config;
-    }
-};
 
 /** Deliberate-crash hooks: the VANGUARD_WORKER_SEGV_SLOT chaos knob
  *  ("<phase>:<slot>" SIGSEGVs that job on every delivery — the
@@ -1138,11 +1224,60 @@ maybeDeliberateCrash(const WorkerJob &job)
 
 } // namespace
 
+/**
+ * Per-(spec, width, config, profile, options) compile cache: a worker
+ * simulates every REF seed of a group against one compiled artifact,
+ * exactly as the in-process runner shares artifacts across seed jobs.
+ */
 struct JobBodyRunner::Cache
 {
-    ArtifactCache artifacts;
+    struct Entry
+    {
+        uint64_t key;
+        CompiledConfig config;
+    };
+    std::vector<Entry> entries;
     std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> misses{0};
+
+    static uint64_t
+    keyOf(const WorkerJob &job)
+    {
+        std::string material = serializeOptionsExact(job.options);
+        material += '|';
+        material += job.specName;
+        material += '|';
+        material += std::to_string(job.config);
+        material += '|';
+        material += std::to_string(job.spec.iterations);
+        uint64_t h = fnv1a64(material);
+        return h ^ (fnv1a64(job.profileText) * 0x9e3779b97f4a7c15ull);
+    }
+
+    CompiledConfig &
+    get(const WorkerJob &job)
+    {
+        uint64_t key = keyOf(job);
+        for (Entry &e : entries)
+            if (e.key == key) {
+                hits.fetch_add(1, std::memory_order_relaxed);
+                return e.config;
+            }
+        ProfileParseResult parsed =
+            deserializeProfile(job.profileText);
+        if (!parsed.ok)
+            vg_throw(Io, "job frame carries unreadable profile: %s",
+                     parsed.error.c_str());
+        TrainArtifacts train = trainFromProfile(
+            job.spec, std::move(parsed.profile), job.options);
+        bool decomposed =
+            job.config == 1 && job.options.applyDecomposition;
+        entries.push_back(
+            {key, compileConfig(job.spec, train, decomposed,
+                                job.options)});
+        misses.fetch_add(1, std::memory_order_relaxed);
+        return entries.back().config;
+    }
 };
 
 JobBodyRunner::JobBodyRunner() : cache_(new Cache) {}
@@ -1154,11 +1289,8 @@ JobBodyRunner::bodyStats() const
     BodyStats out;
     out.jobsDone = jobsDone_.load(std::memory_order_relaxed);
     out.instsRetired = instsRetired_.load(std::memory_order_relaxed);
-    if (cache_ != nullptr) {
-        out.cacheHits = cache_->hits.load(std::memory_order_relaxed);
-        out.cacheMisses =
-            cache_->misses.load(std::memory_order_relaxed);
-    }
+    out.cacheHits = cache_->hits.load(std::memory_order_relaxed);
+    out.cacheMisses = cache_->misses.load(std::memory_order_relaxed);
     return out;
 }
 
@@ -1183,10 +1315,7 @@ JobBodyRunner::run(const WorkerJob &job)
             TrainArtifacts train = trainBenchmark(job.spec, job.options);
             res.profileText = serializeProfile(train.profile);
         } else {
-            bool hit = false;
-            CompiledConfig &config = cache_->artifacts.get(job, &hit);
-            (hit ? cache_->hits : cache_->misses)
-                .fetch_add(1, std::memory_order_relaxed);
+            CompiledConfig &config = cache_->get(job);
             res.stats = simulateConfig(job.spec, config, job.options,
                                        job.seed, job.collectStalls);
             instsRetired_.fetch_add(res.stats.dynamicInsts,
@@ -1211,6 +1340,378 @@ JobBodyRunner::run(const WorkerJob &job)
     return res;
 }
 
+namespace {
+
+/** One worker connection: the socket, its net.* draw stream, and the
+ *  lease length the supervisor last set. */
+struct WorkerConn
+{
+    WorkerConn(int fd_, uint64_t conn_scope)
+        : fd(fd_), chan(fd_), connScope(conn_scope)
+    {
+    }
+
+    int fd;
+    ipc::FrameChannel chan;
+    uint64_t connScope;
+    uint64_t drawCursor = 0;
+    std::mutex writeMutex;
+    unsigned leaseMs = 10000;
+
+    ipc::SendStatus
+    send(char type, const std::string &body)
+    {
+        std::lock_guard<std::mutex> lock(writeMutex);
+        return ipc::sendFrameNet(fd, type, body, connScope,
+                                 &drawCursor);
+    }
+
+    /**
+     * Advisory STATS push, deliberately injection-free: telemetry is
+     * not a chaos subject, and routing it through sendFrameNet would
+     * shift every existing net-fault draw sequence (plans key on the
+     * frame ordinal). Failures are swallowed — the read side will
+     * notice a dead supervisor on its own.
+     */
+    void
+    sendStats(const JobBodyRunner &runner, const std::string &phase,
+              uint64_t lease)
+    {
+        PeerStats ps;
+        ps.pid = static_cast<uint64_t>(::getpid());
+        ps.phase = phase;
+        JobBodyRunner::BodyStats bs = runner.bodyStats();
+        ps.jobsDone = bs.jobsDone;
+        ps.instsRetired = bs.instsRetired;
+        ps.cacheHits = bs.cacheHits;
+        ps.cacheMisses = bs.cacheMisses;
+        if (lease != 0)
+            ps.lease = std::to_string(lease);
+        std::lock_guard<std::mutex> lock(writeMutex);
+        try {
+            ipc::writeFrame(fd, ipc::kFrameStats,
+                            serializePeerStats(ps));
+        } catch (const SimError &) {
+        }
+    }
+
+    /**
+     * Read one frame in shutdown-aware slices. `silence_ms` bounds
+     * how long a totally quiet supervisor is tolerated (Timeout).
+     */
+    ipc::ReadStatus
+    readSliced(ipc::Frame *f, unsigned silence_ms)
+    {
+        auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(silence_ms);
+        for (;;) {
+            if (shutdownRequested())
+                return ipc::ReadStatus::Timeout;
+            int left = static_cast<int>(
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    deadline - std::chrono::steady_clock::now())
+                    .count());
+            if (left <= 0)
+                return ipc::ReadStatus::Timeout;
+            ipc::ReadStatus st = chan.read(f, left < 200 ? left : 200);
+            if (st != ipc::ReadStatus::Timeout)
+                return st;
+        }
+    }
+};
+
+/** How a lease or a whole connection ended. */
+enum class ConnOutcome
+{
+    Acked,      ///< (serveLease only) result recorded: claim again
+    Drained,    ///< the supervisor sent a final DRAIN
+    Lost,       ///< connection lost or protocol broken
+    Shutdown,   ///< local SIGINT/SIGTERM latch
+};
+
+/** Run one leased job while a side thread renews the lease, then
+ *  deliver the result until acknowledged. */
+ConnOutcome
+serveLease(WorkerConn &conn, JobBodyRunner &runner, uint64_t lease,
+           const WorkerJob &job)
+{
+    std::mutex done_mutex;
+    std::condition_variable done_cv;
+    bool done = false;
+    std::atomic<bool> conn_lost{false};
+    std::thread renew([&] {
+        const auto interval =
+            std::chrono::milliseconds(heartbeatIntervalMs(conn.leaseMs));
+        std::unique_lock<std::mutex> lock(done_mutex);
+        while (!done_cv.wait_for(lock, interval, [&] { return done; })) {
+            lock.unlock();
+            bool suppress;
+            {
+                // Per-job suppression pattern: every renew of a job
+                // draws under the same key at draw 0 (see
+                // workerHeartbeatScope). siteFires never counts, so
+                // injected-gauge identity across modes holds.
+                faultinject::Scope scope(
+                    workerHeartbeatScope(job.scopeKey));
+                suppress = faultinject::siteFires(
+                    "worker.heartbeat", SimError::Kind::Hang);
+            }
+            // A suppressed renew silences the STATS riding on it too,
+            // or those frames would keep the watchdog re-armed.
+            if (!suppress) {
+                if (conn.send(ipc::kFrameRenew,
+                              serializeLeaseRef("vanguard-renew",
+                                                lease)) ==
+                    ipc::SendStatus::Disconnected)
+                    conn_lost.store(true, std::memory_order_release);
+                else
+                    conn.sendStats(runner, job.phase, lease);
+            }
+            lock.lock();
+        }
+    });
+
+    WorkerResult res = runner.run(job);
+
+    {
+        std::lock_guard<std::mutex> lock(done_mutex);
+        done = true;
+    }
+    done_cv.notify_one();
+    renew.join();
+    if (conn_lost.load(std::memory_order_acquire))
+        return ConnOutcome::Lost;
+
+    const std::string body = serializeResultEnvelope(lease, res);
+
+    // At-least-once delivery: retransmit until the supervisor ACKs.
+    // A lost ACK therefore produces a duplicate completion at the
+    // coordinator, which reconciles it by byte-comparison. On
+    // connection loss the unACKed result is simply discarded —
+    // re-execution after the re-grant is idempotent.
+    for (unsigned attempt = 0; attempt < 5; ++attempt) {
+        if (conn.send(ipc::kFrameResult, body) ==
+            ipc::SendStatus::Disconnected)
+            return ConnOutcome::Lost;
+        // Await the ACK (a Dropped send just looks like a lost ACK).
+        auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(conn.leaseMs);
+        for (;;) {
+            auto left =
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    deadline - std::chrono::steady_clock::now())
+                    .count();
+            if (left < 0)
+                break; // retransmit
+            ipc::Frame f;
+            ipc::ReadStatus st;
+            try {
+                st = conn.readSliced(&f,
+                                     static_cast<unsigned>(left) + 1);
+            } catch (const SimError &) {
+                return ConnOutcome::Lost;
+            }
+            if (st == ipc::ReadStatus::Eof)
+                return ConnOutcome::Lost;
+            if (st == ipc::ReadStatus::Timeout)
+                break; // retransmit
+            if (f.type == ipc::kFrameResultAck) {
+                if (parseLeaseRef(f.body, "vanguard-ack") == lease)
+                    return ConnOutcome::Acked;
+                continue; // stale ack for an older lease
+            }
+            if (f.type == ipc::kFrameDrain) {
+                // The coordinator only drains once the sweep has
+                // every result it needs; if ours mattered it was
+                // recorded (possibly via a re-grant). Exit cleanly.
+                return ConnOutcome::Drained;
+            }
+            // Heartbeats and anything else: keep waiting.
+        }
+        if (shutdownRequested())
+            return ConnOutcome::Shutdown;
+    }
+    return ConnOutcome::Lost; // supervisor unresponsive
+}
+
+/** Apply a CONFIG body: lease length and the two fault plans. */
+bool
+applyConfig(WorkerConn &conn, const std::string &body)
+{
+    WorkerConfig cfg;
+    if (!parseWorkerConfig(body, &cfg))
+        return false;
+    conn.leaseMs = cfg.leaseMs;
+    try {
+        if (cfg.faultPlan.empty())
+            faultinject::disarm();
+        else
+            faultinject::arm(parseFaultPlan(cfg.faultPlan));
+        if (cfg.netFaultPlan.empty())
+            faultinject::disarmNet();
+        else
+            faultinject::armNet(parseFaultPlan(cfg.netFaultPlan));
+    } catch (const SimError &) {
+        return false;
+    }
+    return true;
+}
+
+std::string
+claimBody()
+{
+    return detail::csprintf("vanguard-claim v%u\n", kBodyVersion);
+}
+
+bool
+isFinalDrain(const std::string &body)
+{
+    std::string error;
+    bool final_drain = false;
+    walkBody(
+        body, "vanguard-drain", &error,
+        [&](const std::string &key, std::istringstream &ls) {
+            int v = 0;
+            if (key == "final" && ls >> v)
+                final_drain = v != 0;
+            return true;
+        },
+        skipBlob);
+    return final_drain;
+}
+
+/**
+ * The worker side of the lease protocol over one connected socket:
+ * HELLO, apply CONFIG, then CLAIM, run each LEASE while a side thread
+ * RENEWs it, and retransmit its RESULT until ACKed, until a final
+ * DRAIN. `conn_scope` keys the connection's net.* draws.
+ * `silence_is_loss`: over TCP, two lease periods without a frame while
+ * claiming mean a partition (Lost); on a socketpair they only mean the
+ * supervisor has no job yet.
+ */
+ConnOutcome
+serveConnection(int fd, uint64_t conn_scope, bool silence_is_loss,
+                JobBodyRunner &runner)
+{
+    WorkerConn conn(fd, conn_scope);
+    if (conn.send(ipc::kFrameHello,
+                  serializeWorkerHello(
+                      static_cast<uint64_t>(::getpid()))) !=
+        ipc::SendStatus::Ok)
+        return ConnOutcome::Lost;
+
+    // Config must arrive before any claim.
+    for (;;) {
+        ipc::Frame f;
+        ipc::ReadStatus st;
+        try {
+            st = conn.readSliced(&f, 10000);
+        } catch (const SimError &) {
+            return ConnOutcome::Lost;
+        }
+        if (shutdownRequested())
+            return ConnOutcome::Shutdown;
+        if (st != ipc::ReadStatus::Ok)
+            return ConnOutcome::Lost;
+        if (f.type == ipc::kFrameConfig) {
+            if (!applyConfig(conn, f.body))
+                return ConnOutcome::Lost;
+            break;
+        }
+        if (f.type == ipc::kFrameDrain)
+            return ConnOutcome::Drained;
+    }
+
+    // Claim/execute/report until drained.
+    for (;;) {
+        if (shutdownRequested())
+            return ConnOutcome::Shutdown;
+        if (conn.send(ipc::kFrameClaim, claimBody()) ==
+            ipc::SendStatus::Disconnected)
+            return ConnOutcome::Lost;
+        conn.sendStats(runner, "claim", 0);
+
+        // Await the lease. Re-claim if the supervisor stays quiet for
+        // a lease period (a dropped CLAIM or LEASE frame).
+        auto claim_sent = std::chrono::steady_clock::now();
+        uint64_t lease = 0;
+        WorkerJob job;
+        while (lease == 0) {
+            ipc::Frame f;
+            ipc::ReadStatus st;
+            try {
+                st = conn.readSliced(&f, 2 * conn.leaseMs);
+            } catch (const SimError &) {
+                return ConnOutcome::Lost;
+            }
+            if (shutdownRequested())
+                return ConnOutcome::Shutdown;
+            if (st == ipc::ReadStatus::Eof)
+                return ConnOutcome::Lost;
+            if (st == ipc::ReadStatus::Timeout) {
+                if (silence_is_loss)
+                    return ConnOutcome::Lost; // partitioned: reconnect
+                continue;
+            }
+            if (f.type == ipc::kFrameDrain) {
+                if (isFinalDrain(f.body))
+                    return ConnOutcome::Drained;
+                continue; // soft drain: stay connected, stop claiming
+            }
+            if (f.type == ipc::kFrameLease) {
+                std::string err;
+                if (!parseLease(f.body, &lease, &conn.leaseMs, &job,
+                                &err))
+                    return ConnOutcome::Lost;
+                continue;
+            }
+            // Heartbeats (idle queue) and strays: keep waiting, but
+            // nudge with a fresh claim if a lease period passed (our
+            // CLAIM may have been dropped on the wire).
+            if (std::chrono::steady_clock::now() - claim_sent >
+                std::chrono::milliseconds(conn.leaseMs)) {
+                if (conn.send(ipc::kFrameClaim, claimBody()) ==
+                    ipc::SendStatus::Disconnected)
+                    return ConnOutcome::Lost;
+                conn.sendStats(runner, "claim", 0);
+                claim_sent = std::chrono::steady_clock::now();
+            }
+        }
+
+        ConnOutcome out = serveLease(conn, runner, lease, job);
+        if (out != ConnOutcome::Acked)
+            return out;
+    }
+}
+
+/** Sleep `ms` in 25 ms steps, bailing early on the shutdown latch.
+ *  Returns false if shutdown was requested. */
+bool
+interruptibleSleep(unsigned ms)
+{
+    unsigned slept = 0;
+    while (slept < ms) {
+        if (shutdownRequested())
+            return false;
+        unsigned step = ms - slept < 25 ? ms - slept : 25;
+        std::this_thread::sleep_for(std::chrono::milliseconds(step));
+        slept += step;
+    }
+    return !shutdownRequested();
+}
+
+/** splitmix64 finalizer, for connection-backoff jitter. */
+uint64_t
+mixJitter(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+} // namespace
+
 int
 runWorkerProcess(int fd)
 {
@@ -1218,252 +1719,79 @@ runWorkerProcess(int fd)
     // in-flight job finishes and the loop exits cleanly. The
     // supervisor owns actual kill policy.
     installShutdownHandlers();
-
-    ipc::FrameChannel chan(fd);
+    JobBodyRunner runner;
+    ConnOutcome out;
     try {
-        std::ostringstream hello;
-        hello << "vanguard-worker v" << kWorkerHelloVersion << "\n";
-        hello << "pid " << ::getpid() << "\n";
-        ipc::writeFrame(fd, ipc::kFrameHello, hello.str());
+        out = serveConnection(
+            fd, ipc::netConnScope(static_cast<uint64_t>(::getpid()), 0),
+            false, runner);
     } catch (const SimError &) {
-        return 1;
+        out = ConnOutcome::Lost;
     }
-
-    std::mutex write_mutex;
-    std::atomic<bool> stopping{false};
-    std::atomic<bool> job_active{false};
-    std::atomic<uint64_t> hb_scope{0};
-    std::atomic<unsigned> hb_interval_ms{
-        heartbeatIntervalMs(10000)};
-    JobBodyRunner runner;   ///< before the heartbeat thread: it reads
-                            ///< bodyStats() for the STATS frames
-    std::mutex meta_mutex;
-    std::string cur_phase;  ///< under meta_mutex
-
-    std::thread heartbeat([&] {
-        while (!stopping.load(std::memory_order_relaxed)) {
-            unsigned interval = hb_interval_ms.load();
-            unsigned slept = 0;
-            // Sleep in small steps so stopping stays prompt even
-            // with long intervals.
-            while (slept < interval &&
-                   !stopping.load(std::memory_order_relaxed)) {
-                unsigned step =
-                    interval - slept < 25 ? interval - slept : 25;
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(step));
-                slept += step;
-            }
-            if (stopping.load(std::memory_order_relaxed))
-                break;
-            if (!job_active.load(std::memory_order_acquire))
-                continue;
-            bool suppress = false;
-            {
-                // Per-job suppression pattern: every beat of a job
-                // draws under the same key at draw 0 (see
-                // workerHeartbeatScope). siteFires never counts, so
-                // injected-gauge identity across modes holds.
-                faultinject::Scope scope(
-                    workerHeartbeatScope(hb_scope.load()));
-                suppress = faultinject::siteFires(
-                    "worker.heartbeat", SimError::Kind::Hang);
-            }
-            if (suppress)
-                continue;
-            std::lock_guard<std::mutex> lock(write_mutex);
-            try {
-                ipc::writeFrame(fd, ipc::kFrameHeartbeat, "");
-                // Ride an advisory STATS frame on each *delivered*
-                // beat. Gating stats on the same suppression draw
-                // matters: a fault plan that silences a job's beats
-                // must silence its stats too, or the extra frames
-                // would keep re-arming the supervisor's watchdog
-                // deadline.
-                PeerStats ps;
-                ps.pid = static_cast<uint64_t>(::getpid());
-                {
-                    std::lock_guard<std::mutex> mlock(meta_mutex);
-                    ps.phase = cur_phase;
-                }
-                JobBodyRunner::BodyStats bs = runner.bodyStats();
-                ps.jobsDone = bs.jobsDone;
-                ps.instsRetired = bs.instsRetired;
-                ps.cacheHits = bs.cacheHits;
-                ps.cacheMisses = bs.cacheMisses;
-                ipc::writeFrame(fd, ipc::kFrameStats,
-                                serializePeerStats(ps));
-            } catch (const SimError &) {
-                // Supervisor gone; the main loop will see EOF.
-            }
-        }
-    });
-
-    int exit_code = 0;
-    for (;;) {
-        if (shutdownRequested())
-            break;
-        ipc::Frame frame;
-        ipc::ReadStatus st;
-        try {
-            st = chan.read(&frame, 250);
-        } catch (const SimError &) {
-            exit_code = 1; // desync from the supervisor: bail loudly
-            break;
-        }
-        if (st == ipc::ReadStatus::Timeout)
-            continue;
-        if (st == ipc::ReadStatus::Eof)
-            break; // supervisor gone: orphaned workers self-clean
-        if (frame.type == ipc::kFrameQuit)
-            break;
-        if (frame.type == ipc::kFrameConfig) {
-            unsigned deadline_ms = 10000;
-            std::string plan_spec;
-            Cursor cur{frame.body};
-            std::string line;
-            bool ok = cur.line(&line) &&
-                      parseVersionedHeader(line,
-                                           "vanguard-workerconfig",
-                                           kWorkerConfigVersion,
-                                           nullptr);
-            while (ok && cur.line(&line)) {
-                std::istringstream ls(line);
-                std::string key;
-                ls >> key;
-                if (key == "heartbeat-ms") {
-                    ls >> deadline_ms;
-                } else if (key == "blob") {
-                    std::string name;
-                    size_t len = 0;
-                    ls >> name >> len;
-                    std::string data;
-                    if (!cur.raw(len, &data)) {
-                        ok = false;
-                        break;
-                    }
-                    if (name == "fault-plan")
-                        plan_spec = std::move(data);
-                }
-            }
-            if (!ok) {
-                exit_code = 1;
-                break;
-            }
-            hb_interval_ms.store(heartbeatIntervalMs(deadline_ms));
-            if (plan_spec.empty()) {
-                faultinject::disarm();
-            } else {
-                try {
-                    faultinject::arm(parseFaultPlan(plan_spec));
-                } catch (const SimError &) {
-                    exit_code = 1;
-                    break;
-                }
-            }
-            continue;
-        }
-        if (frame.type != ipc::kFrameJob)
-            continue; // forward compatibility: skip unknown frames
-
-        WorkerJob job;
-        std::string err;
-        if (!parseWorkerJob(frame.body, &job, &err)) {
-            exit_code = 1;
-            break;
-        }
-
-        hb_scope.store(job.scopeKey);
-        {
-            std::lock_guard<std::mutex> mlock(meta_mutex);
-            cur_phase = job.phase;
-        }
-        job_active.store(true, std::memory_order_release);
-        WorkerResult res = runner.run(job);
-        job_active.store(false, std::memory_order_release);
-
-        std::lock_guard<std::mutex> lock(write_mutex);
-        try {
-            ipc::writeFrame(fd, ipc::kFrameResult,
-                            serializeWorkerResult(res));
-        } catch (const SimError &) {
-            exit_code = 1;
-            break;
-        }
-    }
-
-    stopping.store(true, std::memory_order_relaxed);
-    heartbeat.join();
-    return exit_code;
-}
-
-#else // !VANGUARD_WORKER_POSIX
-
-struct WorkerPool::Slot
-{
-};
-
-bool
-WorkerPool::supported()
-{
-    return false;
-}
-
-WorkerPool::WorkerPool(const Options &opts) : opts_(opts)
-{
-    vg_throw(Config,
-             "process isolation is not supported on this platform");
-}
-
-WorkerPool::~WorkerPool() = default;
-
-WorkerResult
-WorkerPool::execute(WorkerJob)
-{
-    vg_throw(Config,
-             "process isolation is not supported on this platform");
-}
-
-void WorkerPool::shutdown() {}
-
-std::vector<int>
-WorkerPool::workerPids() const
-{
-    return {};
-}
-
-WorkerPool::Stats
-WorkerPool::stats() const
-{
-    return {};
+    return out == ConnOutcome::Lost ? 1 : 0;
 }
 
 int
-runWorkerProcess(int)
+runRemoteWorker(const std::string &host, uint16_t port)
 {
-    return 2;
+    // One body runner for the whole process: the artifact cache
+    // survives reconnects, so a flapping network doesn't force
+    // retrain/recompile of what this worker already built.
+    JobBodyRunner runner;
+    faultinject::maybeArmNetFromEnv();
+
+    const uint64_t pid = static_cast<uint64_t>(::getpid());
+    uint64_t attempt = 0;
+    unsigned consecutive_failures = 0;
+    BackoffPolicy backoff;
+    bool warned = false;
+
+    for (;;) {
+        if (shutdownRequested())
+            return 0;
+        unsigned delay = backoff.delayMs(consecutive_failures);
+        if (delay != 0) {
+            // Jitter: a fleet of workers restarted together must not
+            // hammer a recovering coordinator in lockstep.
+            delay += static_cast<unsigned>(mixJitter(pid ^ attempt) %
+                                           (delay / 2 + 1));
+            if (!interruptibleSleep(delay))
+                return 0;
+        }
+        attempt++;
+
+        std::string err;
+        int fd = ipc::connectTcp(host, port, &err);
+        if (fd < 0) {
+            consecutive_failures++;
+            if (!warned || consecutive_failures % 32 == 0) {
+                vg_warn("remote worker: %s (attempt %llu); retrying",
+                        err.c_str(),
+                        static_cast<unsigned long long>(attempt));
+                warned = true;
+            }
+            continue;
+        }
+
+        ConnOutcome out;
+        try {
+            out = serveConnection(fd, ipc::netConnScope(pid, attempt),
+                                  true, runner);
+        } catch (const SimError &e) {
+            vg_warn("remote worker: connection error: %s",
+                    e.detail().c_str());
+            out = ConnOutcome::Lost;
+        }
+        ::close(fd);
+        if (out == ConnOutcome::Drained) {
+            vg_inform("remote worker: drained by coordinator; exiting");
+            return 0;
+        }
+        if (out == ConnOutcome::Shutdown)
+            return 0;
+        consecutive_failures =
+            consecutive_failures == 0 ? 1 : consecutive_failures + 1;
+    }
 }
-
-struct JobBodyRunner::Cache
-{
-};
-
-JobBodyRunner::JobBodyRunner() : cache_(nullptr) {}
-JobBodyRunner::~JobBodyRunner() = default;
-
-JobBodyRunner::BodyStats
-JobBodyRunner::bodyStats() const
-{
-    return {};
-}
-
-WorkerResult
-JobBodyRunner::run(const WorkerJob &)
-{
-    vg_throw(Config,
-             "process isolation is not supported on this platform");
-}
-
-#endif // VANGUARD_WORKER_POSIX
 
 } // namespace vanguard

@@ -8,8 +8,7 @@
  * runaway allocation in one (benchmark × width × config × seed) job
  * takes the whole sweep down. This pool moves job *bodies* into N
  * long-lived worker processes — re-execs of `vanguard_cli --worker
- * <fd>` speaking the `vanguard-worker v1` frame protocol of
- * support/ipc.hh — while every piece of sweep bookkeeping (journal,
+ * <fd>` — while every piece of sweep bookkeeping (journal,
  * metrics merges, result slots, retry policy, failure tables) stays in
  * the supervisor. That split is what makes sweep output byte-identical
  * between isolation modes: the supervisor runs the same code over the
@@ -25,8 +24,16 @@
  * path); simulate jobs return SimStats through the journal's
  * CRC-guarded record codec, the same bytes a resumed sweep replays.
  *
+ * One worker loop serves both transports. A `--worker` process runs
+ * the sweep fabric's lease protocol (core/coordinator.hh: HELLO,
+ * CONFIG, then CLAIM -> LEASE -> RENEW... -> RESULT -> ACK until a
+ * final DRAIN) once over its inherited socketpair; a `--remote-worker`
+ * runs the same loop over TCP and reconnects when the connection
+ * drops. Only the supervisors differ: this pool dispatches one job per
+ * slot and blocks on it, the coordinator queues offers and polls.
+ *
  * Supervision policy (all owned here, not by the runner):
- *   - heartbeats: workers beat every deadline/4 while a job runs; a
+ *   - heartbeats: workers RENEW every deadline/4 while a job runs; a
  *     silent worker past the deadline is SIGKILLed and the in-flight
  *     job fails with SimError(Hang), mirroring the in-process
  *     watchdog taxonomy;
@@ -36,19 +43,17 @@
  *   - restart with exponential backoff (BackoffPolicy below), plus a
  *     restart-storm circuit breaker: too many consecutive worker
  *     losses with no completed job in between breaks the pool rather
- *     than melting the host;
- *   - poison-job quarantine: a job that kills kQuarantineDeaths
+ *     than melting the host (SupervisionLedger, shared with the
+ *     coordinator);
+ *   - poison-job quarantine: a job that kills quarantineDeaths
  *     consecutive workers is recorded as a non-transient root-cause
  *     failure (the runner's ordinary bundle path then writes its
  *     replay bundle) instead of being retried forever;
  *   - optional setrlimit() address-space / CPU caps applied between
  *     fork and exec;
- *   - graceful drain: shutdown() sends each live worker a QUIT frame
- *     and exactly one SIGTERM, reaps with a bounded deadline, and
- *     SIGKILLs stragglers — no zombie outlives the pool.
- *
- * POSIX-only (fork/exec/waitpid); WorkerPool::supported() gates it and
- * the CLI turns unsupported platforms into exit 2.
+ *   - graceful drain: shutdown() sends each live worker a final DRAIN
+ *     frame and exactly one SIGTERM, reaps with a bounded deadline,
+ *     and SIGKILLs stragglers — no zombie outlives the pool.
  */
 
 #ifndef VANGUARD_CORE_WORKER_POOL_HH
@@ -96,6 +101,96 @@ struct BackoffPolicy
         uint64_t d = static_cast<uint64_t>(baseMs) << shift;
         return d > capMs ? capMs : static_cast<unsigned>(d);
     }
+};
+
+/**
+ * Loss bookkeeping shared by the worker pool and the coordinator:
+ * per-job delivery ordinals, per-job consecutive deaths (quarantine
+ * at quarantineDeaths), the count of consecutive losses with no
+ * completion anywhere (the storm breaker past stormLimit), and the
+ * reason the supervisor broke. Not synchronized: each owner calls it
+ * under its own lock. Message text stays with the callers.
+ */
+class SupervisionLedger
+{
+  public:
+    SupervisionLedger(unsigned quarantine_deaths, unsigned storm_limit)
+        : quarantineDeaths_(quarantine_deaths), stormLimit_(storm_limit)
+    {
+    }
+
+    /** Ordinal of the next delivery of `key`: 0, 1, 2, ... */
+    uint64_t
+    nextDelivery(const std::string &key)
+    {
+        return deliveries_[key]++;
+    }
+
+    struct Loss
+    {
+        unsigned deaths = 0;     ///< consecutive deaths of the job
+        unsigned streak = 0;     ///< consecutive losses, any job
+        bool quarantine = false; ///< deaths reached the limit (reset)
+        bool storm = false;      ///< streak passed the storm limit
+    };
+
+    /** A worker or lease was lost while running `key` ("" = no job
+     *  to blame, e.g. a failed spawn: only the streak grows). */
+    Loss
+    noteLoss(const std::string &key)
+    {
+        Loss l;
+        l.streak = ++streak_;
+        l.storm = streak_ > stormLimit_ && !broken_;
+        if (!key.empty()) {
+            l.deaths = ++deaths_[key];
+            l.quarantine = l.deaths >= quarantineDeaths_;
+            if (l.quarantine)
+                deaths_.erase(key);
+        }
+        return l;
+    }
+
+    /** `key` settled (completed, or failed as a job): its death count
+     *  and the storm streak reset. */
+    void
+    noteCompletion(const std::string &key)
+    {
+        deaths_.erase(key);
+        streak_ = 0;
+    }
+
+    /** Break the supervisor; the first reason wins. Returns whether
+     *  this call broke it. */
+    bool
+    markBroken(SimError::Kind kind, std::string reason)
+    {
+        if (broken_)
+            return false;
+        broken_ = true;
+        brokenKind_ = kind;
+        brokenReason_ = std::move(reason);
+        return true;
+    }
+
+    bool broken() const { return broken_; }
+
+    void
+    throwIfBroken() const
+    {
+        if (broken_)
+            throw SimError(brokenKind_, brokenReason_);
+    }
+
+  private:
+    unsigned quarantineDeaths_;
+    unsigned stormLimit_;
+    std::map<std::string, uint64_t> deliveries_;
+    std::map<std::string, unsigned> deaths_;
+    unsigned streak_ = 0;
+    bool broken_ = false;
+    SimError::Kind brokenKind_ = SimError::Kind::Internal;
+    std::string brokenReason_;
 };
 
 /** Workers beat at a quarter of the supervisor's deadline: four
@@ -197,10 +292,50 @@ std::string serializeWorkerResult(const WorkerResult &res);
 bool parseWorkerResult(const std::string &body, WorkerResult *out,
                        std::string *error);
 
+/*
+ * Lease-protocol bodies (frame types in support/ipc.hh), one codec
+ * each for both supervisors and the worker loop. Parsers return false
+ * on malformed input; a known header with an unknown version throws
+ * SimError(Io), as every versioned format does.
+ */
+
+/** HELLO: "vanguard-remote v1" and the worker's pid. */
+std::string serializeWorkerHello(uint64_t pid);
+bool parseWorkerHello(const std::string &body, uint64_t *pid);
+
+/** CONFIG: the supervisor's answer to a hello. */
+struct WorkerConfig
+{
+    unsigned leaseMs = 10000;   ///< lease length; RENEW every leaseMs/4
+    std::string faultPlan;      ///< job fault plan ("" = disarm)
+    std::string netFaultPlan;   ///< network fault plan ("" = disarm)
+};
+std::string serializeWorkerConfig(const WorkerConfig &cfg);
+bool parseWorkerConfig(const std::string &body, WorkerConfig *out);
+
+/** LEASE: a lease id (never 0), its length and one job body. */
+std::string serializeLease(uint64_t lease, unsigned lease_ms,
+                           const WorkerJob &job);
+bool parseLease(const std::string &body, uint64_t *lease,
+                unsigned *lease_ms, WorkerJob *job, std::string *error);
+
+/** RESULT: the lease it settles and the serialized WorkerResult. */
+std::string serializeResultEnvelope(uint64_t lease,
+                                    const WorkerResult &res);
+bool parseResultEnvelope(const std::string &body, uint64_t *lease,
+                         std::string *result_bytes, std::string *error);
+
+/** RENEW ("vanguard-renew") and ACK ("vanguard-ack") name one lease;
+ *  parseLeaseRef returns 0 for a malformed body. */
+std::string serializeLeaseRef(const char *magic, uint64_t lease);
+uint64_t parseLeaseRef(const std::string &body, const char *magic);
+
+/** DRAIN: a final drain tells the worker to exit. */
+std::string serializeDrain(bool final_drain);
+
 /**
- * Per-process execution of one self-contained job body: the shared
- * core of the pool's `--worker` loop and the sweep fabric's remote
- * worker (core/coordinator.hh). Owns the (spec × options × config ×
+ * Per-process execution of one self-contained job body, the core of
+ * the worker loop behind runWorkerProcess and runRemoteWorker. Owns the (spec × options × config ×
  * profile) compile cache so every REF seed of a group reuses one
  * artifact, re-enters the job's fault scope past the draws the
  * supervisor consumed, honors the deliberate-crash chaos hooks, and
@@ -223,9 +358,8 @@ class JobBodyRunner
 
     /**
      * Advisory running totals across every run() so far — the payload
-     * of the live STATS frames. Readable from another thread (the
-     * worker's heartbeat thread, the remote worker's renew thread)
-     * while a job runs; never part of any authoritative result.
+     * of the live STATS frames. Readable from the renew thread while a
+     * job runs; never part of any authoritative result.
      */
     struct BodyStats
     {
@@ -270,9 +404,6 @@ class WorkerPool
         TelemetryHub *telemetry = nullptr;
     };
 
-    /** Does this build/platform carry fork/exec supervision? */
-    static bool supported();
-
     explicit WorkerPool(const Options &opts);
     ~WorkerPool();
 
@@ -287,11 +418,13 @@ class WorkerPool
      * fresh worker until the job completes or kills quarantineDeaths
      * consecutive workers (then SimError(Internal) quarantine);
      * heartbeat expiry SIGKILLs the worker and throws SimError(Hang).
+     * Sends one LEASE, counts RENEW, STATS and CLAIM frames as beats,
+     * and ACKs the RESULT before returning.
      */
     WorkerResult execute(WorkerJob job);
 
     /**
-     * Graceful drain: QUIT frame + exactly one SIGTERM per live
+     * Graceful drain: final DRAIN frame + exactly one SIGTERM per live
      * worker, bounded reap, SIGKILL stragglers. Idempotent; the
      * destructor calls it. No child of this pool survives it.
      */
@@ -306,7 +439,7 @@ class WorkerPool
         uint64_t restarts = 0;          ///< spawns after a loss
         uint64_t heartbeatMisses = 0;
         uint64_t quarantinedJobs = 0;
-        uint64_t dataFrames = 0;        ///< JOB + RESULT frames
+        uint64_t dataFrames = 0;        ///< LEASE + RESULT frames
     };
     Stats stats() const;
 
@@ -317,34 +450,43 @@ class WorkerPool
     void releaseSlot(size_t idx);
     void ensureAlive(Slot &slot);
     void spawnWorker(Slot &slot);
-    void killWorker(Slot &slot, bool already_dead);
-    std::string reapWorker(Slot &slot);
-    void noteLoss(const std::string &job_key);
-    void noteCompletion();
+    /** SIGKILL (if asked), reap and disconnect the slot's worker;
+     *  returns how it ended. */
+    std::string retireWorker(Slot &slot, bool sigkill);
+    SupervisionLedger::Loss noteLoss(const std::string &job_key);
     void bumpCounter(const char *name, uint64_t delta = 1);
 
     Options opts_;
     mutable std::mutex mutex_;
     std::condition_variable slotFree_;
     std::vector<std::unique_ptr<Slot>> slots_;
-    std::map<std::string, unsigned> consecutiveDeaths_;
-    std::map<std::string, uint64_t> deliveries_;
+    SupervisionLedger ledger_;       ///< under mutex_
     uint64_t spawnAttempts_ = 0; ///< worker.spawn draw ordinal
-    unsigned consecutiveLosses_ = 0; ///< resets on any completed job
-    bool broken_ = false;
-    std::string brokenReason_;
+    uint64_t nextLease_ = 1;
     bool shutdownDone_ = false;
     Stats stats_;
 };
 
 /**
  * Worker-process entry (the `--worker <fd>` mode of vanguard_cli and
- * of any test binary that embeds the pool): speak the protocol on fd
- * until QUIT/EOF. Returns the process exit code. Installs the
- * shutdown latch so a process-group SIGINT/SIGTERM finishes the
- * in-flight job before exiting (the supervisor owns drain policy).
+ * of any test binary that embeds the pool): serve the inherited
+ * socketpair once, with no reconnect — an orphaned worker exits.
+ * Returns the process exit code (0 drained or signalled, 1 lost).
+ * Installs the shutdown latch so a process-group SIGINT/SIGTERM
+ * finishes the in-flight job before exiting (the supervisor owns
+ * drain policy).
  */
 int runWorkerProcess(int fd);
+
+/**
+ * Remote-worker entry (`vanguard_cli --remote-worker host:port`): the
+ * same worker loop against a coordinator (core/coordinator.hh) until a
+ * final DRAIN frame or a shutdown signal. Returns the process exit
+ * code (0 = drained or signalled). Connection loss is not an error:
+ * the loop reconnects with jittered exponential backoff indefinitely,
+ * surviving coordinator restarts.
+ */
+int runRemoteWorker(const std::string &host, uint16_t port);
 
 } // namespace vanguard
 

@@ -25,11 +25,13 @@
  *   pipeline.commit    Fault  timing model, every 4096 retired insts
  *   worker.spawn       Io     supervisor, before each worker fork/exec
  *                             (transient: exercises backoff restart)
- *   worker.frame.write Io     supervisor, before each job-frame send
+ *   worker.frame.write Io     supervisor, before each LEASE send
  *                             (transient: exercises desync recovery)
- *   worker.heartbeat   Hang   worker heartbeat thread, before each
- *                             beat (a fire suppresses the beat, so the
- *                             supervisor's deadline watchdog trips)
+ *   worker.heartbeat   Hang   worker renew thread, before each RENEW,
+ *                             in both transports (a fire suppresses
+ *                             the renew and its STATS, so the pool's
+ *                             deadline watchdog trips, or the
+ *                             coordinator's lease expires)
  *   worker.kill        Internal  worker job preamble; the worker
  *                             converts a fire into raise(SIGKILL), so
  *                             an `internal:p` plan SIGKILLs workers
@@ -180,7 +182,7 @@ site(const char *name, SimError::Kind kind)
 /**
  * Like site(), but reports the outcome instead of throwing and does
  * not touch the injected counters. For probes whose "fault" is an
- * omission (the worker heartbeat suppressor) rather than an error —
+ * omission (the worker renew suppressor) rather than an error —
  * keeping the throwing counters deterministic across isolation modes.
  */
 inline bool

@@ -2,8 +2,8 @@
  * @file
  * Length-prefixed frame transport for the process-isolated worker
  * pool (core/worker_pool.hh) and the distributed sweep fabric
- * (core/coordinator.hh), which swaps the socketpair for a TCP socket
- * without touching the frame layer.
+ * (core/coordinator.hh). Both speak one frame vocabulary — the lease
+ * protocol below — over a socketpair or a TCP socket respectively.
  *
  * Wire format (all integers little-endian):
  *
@@ -13,7 +13,7 @@
  * Every frame is CRC'd (support/checksum.hh) so a torn write, a
  * half-dead worker, or a protocol desync surfaces as a loud
  * SimError(Io) instead of silently corrupt results. Text bodies
- * (hello/config/job/result/lease) carry their own `vanguard-* vN`
+ * (hello/config/lease/result/...) carry their own `vanguard-* vN`
  * headers validated through support/versioned_format.hh, so a
  * version-skewed worker binary is refused by name at handshake time.
  *
@@ -28,9 +28,6 @@
  * network fault plan (support/fault_inject.hh `net.*` sites) so
  * partition, frame-loss, and slow-peer behavior is reproducible in
  * tests.
- *
- * POSIX-only (socketpair/poll/TCP); on other platforms the API exists
- * but every call raises SimError(Config) — see ipcSupported().
  */
 
 #ifndef VANGUARD_SUPPORT_IPC_HH
@@ -44,22 +41,19 @@
 namespace vanguard {
 namespace ipc {
 
-/** Frame types: the first payload byte. */
+/** Frame types: the first payload byte. "Supervisor" is the worker
+ *  pool or the coordinator, whichever end hands out jobs. */
 enum : char
 {
-    kFrameHello = 'H',      ///< worker -> supervisor, once at startup
-    kFrameConfig = 'C',     ///< supervisor -> worker, once per spawn
-    kFrameJob = 'J',        ///< supervisor -> worker
-    kFrameResult = 'R',     ///< worker -> supervisor / coordinator
-    kFrameHeartbeat = 'B',  ///< liveness while a job runs or a claim waits
-    kFrameQuit = 'Q',       ///< supervisor -> worker: drain and exit
-
-    // Distributed sweep fabric (core/coordinator.hh):
-    kFrameClaim = 'M',      ///< remote worker -> coordinator: give me a job
-    kFrameLease = 'L',      ///< coordinator -> worker: leased job body
-    kFrameRenew = 'N',      ///< worker -> coordinator: extend my lease
-    kFrameResultAck = 'A',  ///< coordinator -> worker: result recorded
-    kFrameDrain = 'D',      ///< coordinator -> worker: stop claiming
+    kFrameHello = 'H',      ///< worker -> supervisor, once per connection
+    kFrameConfig = 'C',     ///< supervisor -> worker, answers the hello
+    kFrameClaim = 'M',      ///< worker -> supervisor: give me a job
+    kFrameLease = 'L',      ///< supervisor -> worker: leased job body
+    kFrameRenew = 'N',      ///< worker -> supervisor: extend my lease
+    kFrameResult = 'R',     ///< worker -> supervisor: lease + result
+    kFrameResultAck = 'A',  ///< supervisor -> worker: result recorded
+    kFrameHeartbeat = 'B',  ///< coordinator -> idle worker: still here
+    kFrameDrain = 'D',      ///< supervisor -> worker: stop claiming
 
     // Live telemetry plane (support/telemetry.hh):
     kFrameStats = 'S',      ///< worker/remote -> supervisor/coordinator:
@@ -89,9 +83,6 @@ enum class ReadStatus
     Eof,        ///< peer closed (worker death / supervisor gone)
     Timeout,    ///< deadline expired with no complete frame
 };
-
-/** Does this build carry the POSIX transport? */
-bool ipcSupported();
 
 /**
  * Write one frame (blocking, retrying short writes). Throws

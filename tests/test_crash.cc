@@ -352,11 +352,9 @@ TEST(Shutdown, WorkerPoolDrainUnderShutdownLeavesNoZombies)
 {
     // The process-isolation twin of the drain test: with the drain
     // flag already latched (as a SIGTERM handler would leave it), a
-    // worker pool still shuts down cleanly — QUIT + one SIGTERM per
+    // worker pool still shuts down cleanly — DRAIN + one SIGTERM per
     // live worker, bounded reap — and no child outlives it, running
     // or zombie.
-    if (!WorkerPool::supported())
-        GTEST_SKIP() << "no fork/exec supervision on this platform";
     clearShutdownRequest();
     requestShutdown(SIGTERM);
     std::vector<int> pids;

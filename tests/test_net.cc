@@ -17,6 +17,7 @@
 #include <string>
 #include <thread>
 
+#include "core/coordinator.hh"
 #include "support/checksum.hh"
 #include "support/fault_inject.hh"
 #include "support/ipc.hh"
@@ -94,6 +95,31 @@ TEST(NetTransport, LoopbackRoundTripAndPeerAddress)
     ASSERT_EQ(chan.read(&f, 2000), ipc::ReadStatus::Ok);
     EXPECT_EQ(f.type, ipc::kFrameHeartbeat);
     EXPECT_TRUE(f.body.empty());
+}
+
+TEST(NetTransport, SkewedHelloCostsOnlyThatPeer)
+{
+    // A peer whose hello is a body version this build cannot read is
+    // dropped; the coordinator survives and serves the next peer.
+    Coordinator coord(Coordinator::Options{});
+    std::string err;
+    ipc::Frame f;
+    int skewed = ipc::connectTcp("127.0.0.1", coord.port(), &err);
+    ASSERT_GE(skewed, 0) << err;
+    ipc::writeFrame(skewed, ipc::kFrameHello,
+                    "vanguard-remote v9\npid 1\n");
+    ipc::FrameChannel bad(skewed);
+    EXPECT_EQ(bad.read(&f, 5000), ipc::ReadStatus::Eof);
+    ::close(skewed);
+
+    int good = ipc::connectTcp("127.0.0.1", coord.port(), &err);
+    ASSERT_GE(good, 0) << err;
+    ipc::writeFrame(good, ipc::kFrameHello, serializeWorkerHello(2));
+    ipc::FrameChannel chan(good);
+    ASSERT_EQ(chan.read(&f, 5000), ipc::ReadStatus::Ok);
+    EXPECT_EQ(f.type, ipc::kFrameConfig);
+    coord.shutdown(); // drains the good peer, so no lame-duck wait
+    ::close(good);
 }
 
 TEST(NetTransport, AcceptTimesOutWithoutAConnection)

@@ -218,7 +218,7 @@ TEST_P(PipelineProperty, FullPipelinePreservesSemantics)
         if (bs.forward)
             branches.push_back(id);
     decomposeBranches(txd, branches);
-    scheduleFunction(txd, {});
+    scheduleFunction(txd);
     ASSERT_EQ(txd.verify(), "");
 
     expectMatches(txd, init, golden,
@@ -281,7 +281,7 @@ TEST(PipelineProperty, SuiteKernelsSurviveAggressiveDecomposition)
             if (bs.forward)
                 branches.push_back(id);
         decomposeBranches(k.fn, branches);
-        scheduleFunction(k.fn, {});
+        scheduleFunction(k.fn);
 
         Rng orng(name[0]);
         expectMatches(k.fn, *k.mem, golden,

@@ -34,7 +34,7 @@ TEST(Scheduler, KeepsTerminatorLast)
     b.movi(1, 2);
     b.add(2, 0, 1);
     b.halt();
-    scheduleBlock(fn.block(0), {});
+    scheduleBlock(fn.block(0));
     EXPECT_EQ(fn.block(0).terminator().op, Opcode::HALT);
     EXPECT_EQ(fn.block(0).insts.size(), 4u);
 }
@@ -52,7 +52,7 @@ TEST(Scheduler, HoistsLoadAboveIndependentAlu)
     InstId use = b.addi(3, 2, 1);
     b.halt();
     (void)a1;
-    scheduleBlock(fn.block(0), {});
+    scheduleBlock(fn.block(0));
     const BasicBlock &bb = fn.block(0);
     EXPECT_LT(positionOf(bb, ld), positionOf(bb, a2));
     EXPECT_LT(positionOf(bb, ld), positionOf(bb, use));
@@ -66,7 +66,7 @@ TEST(Scheduler, RespectsRawDependence)
     InstId def = b.movi(0, 7);
     InstId use = b.addi(1, 0, 1);
     b.halt();
-    scheduleBlock(fn.block(0), {});
+    scheduleBlock(fn.block(0));
     const BasicBlock &bb = fn.block(0);
     EXPECT_LT(positionOf(bb, def), positionOf(bb, use));
 }
@@ -80,7 +80,7 @@ TEST(Scheduler, RespectsWarAndWaw)
     InstId write = b.movi(0, 9);    // WAR with read
     InstId write2 = b.movi(0, 11);  // WAW with write
     b.halt();
-    scheduleBlock(fn.block(0), {});
+    scheduleBlock(fn.block(0));
     const BasicBlock &bb = fn.block(0);
     EXPECT_LT(positionOf(bb, read), positionOf(bb, write));
     EXPECT_LT(positionOf(bb, write), positionOf(bb, write2));
@@ -95,7 +95,7 @@ TEST(Scheduler, LoadsReorderButNotPastStores)
     InstId st = b.store(0, 8, 1);
     InstId ld2 = b.load(2, 0, 16);
     b.halt();
-    scheduleBlock(fn.block(0), {});
+    scheduleBlock(fn.block(0));
     const BasicBlock &bb = fn.block(0);
     EXPECT_LT(positionOf(bb, ld1), positionOf(bb, st));
     EXPECT_LT(positionOf(bb, st), positionOf(bb, ld2));
@@ -111,7 +111,7 @@ TEST(Scheduler, StoresNeverReorder)
     InstId s1 = b.store(0, 0, 1);
     InstId s2 = b.store(0, 0, 0);
     b.halt();
-    scheduleBlock(fn.block(0), {});
+    scheduleBlock(fn.block(0));
     const BasicBlock &bb = fn.block(0);
     EXPECT_LT(positionOf(bb, s1), positionOf(bb, s2));
 }
@@ -127,7 +127,7 @@ TEST(Scheduler, IndependentLoadsMayReorder)
     b.op2(Opcode::MUL, 3, 2, 2);
     b.op2(Opcode::MUL, 3, 3, 3);
     b.halt();
-    scheduleBlock(fn.block(0), {});
+    scheduleBlock(fn.block(0));
     const BasicBlock &bb = fn.block(0);
     EXPECT_LT(positionOf(bb, expensive), positionOf(bb, cheap));
 }
@@ -139,7 +139,7 @@ TEST(Scheduler, TinyBlocksUntouched)
     b.startBlock("entry");
     b.movi(0, 1);
     b.halt();
-    EXPECT_FALSE(scheduleBlock(fn.block(0), {}));
+    EXPECT_FALSE(scheduleBlock(fn.block(0)));
 }
 
 TEST(Scheduler, FunctionLevelCountsChangedBlocks)
@@ -152,7 +152,7 @@ TEST(Scheduler, FunctionLevelCountsChangedBlocks)
     InstId ld = b.load(2, 5, 0);
     (void)ld;
     b.halt();
-    unsigned changed = scheduleFunction(fn, {});
+    unsigned changed = scheduleFunction(fn);
     EXPECT_EQ(changed, 1u); // the load moves up
     EXPECT_EQ(fn.verify(), "");
 }
@@ -196,7 +196,7 @@ TEST(Scheduler, RandomBlocksPreserveSemantics)
         b.halt();
 
         Function scheduled = fn;
-        scheduleFunction(scheduled, {});
+        scheduleFunction(scheduled);
         ASSERT_EQ(scheduled.verify(), "");
 
         Memory ma(1024), mb(1024);

@@ -526,9 +526,6 @@ httpGet(uint16_t port, const std::string &target)
 
 TEST(TelemetryServerTest, ServesMetricsProgressAndHealthz)
 {
-    if (!TelemetryServer::supported())
-        GTEST_SKIP() << "no socket support on this platform";
-
     MetricsRegistry reg;
     reg.counter("engine.jobs.total").add(5);
     reg.counter("engine.jobs.completed").add(5);

@@ -2,10 +2,10 @@
  * @file
  * Worker-pool unit tests (tier1): the ipc frame codec (round-trip,
  * torn frames, CRC corruption, oversize refusal), the worker job /
- * result body codecs with exact hexfloat numeric round-trips, the
- * supervision arithmetic (heartbeat interval, backoff schedule,
- * kill/heartbeat scope keys), and the deterministic worker fault
- * sites. Everything here is in-process — the end-to-end kill drills
+ * result body codecs with exact hexfloat numeric round-trips and the
+ * LEASE / RESULT envelopes around them, the supervision arithmetic
+ * (heartbeat interval, backoff schedule, the loss ledger, kill /
+ * heartbeat scope keys), and the deterministic worker fault sites. Everything here is in-process — the end-to-end kill drills
  * live in test_worker_kill.cc.
  */
 
@@ -50,13 +50,13 @@ TEST(IpcFrame, RoundTripsBinaryAndEmptyPayloads)
 {
     PairFds p;
     std::string binary("\x00\x01\xff\n\r\x7f frame", 12);
-    ipc::writeFrame(p.fds[0], ipc::kFrameJob, binary);
+    ipc::writeFrame(p.fds[0], ipc::kFrameLease, binary);
     ipc::writeFrame(p.fds[0], ipc::kFrameHeartbeat, "");
 
     ipc::FrameChannel chan(p.fds[1]);
     ipc::Frame f;
     ASSERT_EQ(chan.read(&f, 1000), ipc::ReadStatus::Ok);
-    EXPECT_EQ(f.type, ipc::kFrameJob);
+    EXPECT_EQ(f.type, ipc::kFrameLease);
     EXPECT_EQ(f.body, binary);
     ASSERT_EQ(chan.read(&f, 1000), ipc::ReadStatus::Ok);
     EXPECT_EQ(f.type, ipc::kFrameHeartbeat);
@@ -166,6 +166,59 @@ TEST(WorkerSupervision, BackoffDoublesFromBaseAndClampsAtCap)
     // Deterministic: same inputs, same schedule.
     for (unsigned n = 0; n < 32; ++n)
         EXPECT_EQ(b.delayMs(n), b.delayMs(n));
+}
+
+TEST(WorkerSupervision, LedgerQuarantinesStormsAndResetsOnCompletion)
+{
+    SupervisionLedger l(3, 4); // quarantine at 3, storm past 4
+
+    // Delivery ordinals count per key, independently.
+    EXPECT_EQ(l.nextDelivery("simulate:0"), 0u);
+    EXPECT_EQ(l.nextDelivery("simulate:0"), 1u);
+    EXPECT_EQ(l.nextDelivery("train:0"), 0u);
+    EXPECT_EQ(l.nextDelivery("simulate:0"), 2u);
+
+    // K consecutive deaths of one job quarantine it, and the count
+    // starts over afterwards.
+    EXPECT_EQ(l.noteLoss("simulate:7").deaths, 1u);
+    EXPECT_FALSE(l.noteLoss("simulate:7").quarantine);
+    SupervisionLedger::Loss third = l.noteLoss("simulate:7");
+    EXPECT_EQ(third.deaths, 3u);
+    EXPECT_TRUE(third.quarantine);
+    EXPECT_EQ(l.noteLoss("simulate:7").deaths, 1u);
+
+    // A completion resets the job's deaths and the storm streak.
+    l.noteCompletion("simulate:7");
+    SupervisionLedger::Loss after = l.noteLoss("simulate:7");
+    EXPECT_EQ(after.deaths, 1u);
+    EXPECT_EQ(after.streak, 1u);
+    l.noteCompletion("simulate:7");
+
+    // N losses with no completion are tolerated; the next one trips
+    // the breaker exactly once. A loss with no job only grows the
+    // streak.
+    for (unsigned i = 1; i <= 4; ++i) {
+        SupervisionLedger::Loss x = l.noteLoss(i % 2 ? "" : "train:1");
+        EXPECT_EQ(x.streak, i);
+        EXPECT_FALSE(x.storm);
+        EXPECT_EQ(x.deaths, i % 2 ? 0u : i / 2);
+    }
+    EXPECT_FALSE(l.broken());
+    EXPECT_NO_THROW(l.throwIfBroken());
+    EXPECT_TRUE(l.noteLoss("").storm);
+
+    // The owner breaks it with its own message; the first reason
+    // wins and every later call sees it.
+    EXPECT_TRUE(l.markBroken(SimError::Kind::Internal, "storm"));
+    EXPECT_FALSE(l.markBroken(SimError::Kind::Divergence, "later"));
+    EXPECT_FALSE(l.noteLoss("").storm);
+    try {
+        l.throwIfBroken();
+        FAIL() << "broken ledger did not throw";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), SimError::Kind::Internal);
+        EXPECT_EQ(e.detail(), "storm");
+    }
 }
 
 TEST(WorkerSupervision, KillAndHeartbeatScopesAreStableAndDistinct)
@@ -290,6 +343,63 @@ TEST(WorkerCodec, JobParseRejectsGarbage)
         "vanguard-workerjob v1\nphase train\nblob profile 99\nxx",
         &out, &err));
     EXPECT_NE(err.find("truncated"), std::string::npos);
+
+    // The LEASE and RESULT envelopes around job and result bodies
+    // refuse the same damage, without a crash or a huge allocation.
+    WorkerJob job;
+    job.phase = "train";
+    job.spec = findBenchmark("gcc-like");
+    job.specName = job.spec.name;
+    job.bindSpecName();
+    const std::string lease = serializeLease(7, 500, job);
+    uint64_t id = 0;
+    unsigned lease_ms = 0;
+    ASSERT_TRUE(parseLease(lease, &id, &lease_ms, &out, &err)) << err;
+    EXPECT_EQ(id, 7u);
+    EXPECT_EQ(lease_ms, 500u);
+    EXPECT_EQ(out.phase, "train");
+
+    WorkerResult res;
+    res.ok = false;
+    res.message = "boom";
+    const std::string envelope = serializeResultEnvelope(9, res);
+    std::string bytes;
+    ASSERT_TRUE(parseResultEnvelope(envelope, &id, &bytes, &err)) << err;
+    EXPECT_EQ(id, 9u);
+    EXPECT_EQ(bytes, serializeWorkerResult(res));
+
+    auto inflate = [](std::string body) {
+        size_t at = body.find("blob ");
+        size_t nl = body.find('\n', at);
+        return body.substr(0, at) + "blob x 18446744073709551615" +
+               body.substr(nl);
+    };
+    const std::string bad_leases[] = {
+        lease.substr(0, lease.size() / 2),          // truncated
+        inflate(lease),                             // inflated length
+        "vanguard-lease v1\nlease-ms 5\n",          // no lease id
+        "vanguard-lease v1\nlease 0\n",             // lease id 0
+        "vanguard-workerjob v1\nphase train\n",     // wrong header
+        "",
+    };
+    for (const std::string &b : bad_leases)
+        EXPECT_FALSE(parseLease(b, &id, &lease_ms, &out, &err)) << b;
+    const std::string bad_envelopes[] = {
+        envelope.substr(0, envelope.size() / 2),
+        inflate(envelope),
+        "vanguard-remoteresult v1\nblob result 2\nok\n",
+        "vanguard-lease v1\nlease 9\nblob result 2\nok\n",
+        "",
+    };
+    for (const std::string &b : bad_envelopes)
+        EXPECT_FALSE(parseResultEnvelope(b, &id, &bytes, &err)) << b;
+    // A future envelope version is refused by name, as a job is.
+    EXPECT_THROW(parseLease("vanguard-lease v9\n", &id, &lease_ms,
+                            &out, &err),
+                 SimError);
+    EXPECT_THROW(parseResultEnvelope("vanguard-remoteresult v9\n", &id,
+                                     &bytes, &err),
+                 SimError);
 }
 
 TEST(WorkerCodec, ResultRoundTripsOkFailAndInjectedCounts)
@@ -438,20 +548,6 @@ TEST(WorkerFaults, SiteFiresDoesNotPerturbJobDrawsOrGauges)
     EXPECT_EQ(faultinject::injectedCount(SimError::Kind::Internal),
               before_injected);
     faultinject::disarm();
-}
-
-TEST(WorkerPoolApi, UnsupportedPlatformIsExplicit)
-{
-#ifdef VANGUARD_TEST_POSIX
-    EXPECT_TRUE(WorkerPool::supported());
-    EXPECT_TRUE(ipc::ipcSupported());
-#else
-    EXPECT_FALSE(WorkerPool::supported());
-    EXPECT_FALSE(ipc::ipcSupported());
-    // Constructing anyway refuses with a structured Config error.
-    WorkerPool::Options o;
-    EXPECT_THROW(WorkerPool pool(o), SimError);
-#endif
 }
 
 TEST(WorkerPoolApi, RttHistogramBoundsAreSharedAndSorted)
