@@ -1,30 +1,28 @@
 /**
  * @file
- * Worker-pool implementation: frame-body codecs, the supervisor, and
- * the worker loop shared by `--worker` and `--remote-worker`. See
- * worker_pool.hh for the design.
+ * Frame-body codecs and the worker loop shared by `--worker` and
+ * `--remote-worker`. See worker_pool.hh for the design; the supervisor
+ * side (WorkerPool and Coordinator over one lease dispatcher) is in
+ * coordinator.cc.
  */
 
 #include "core/worker_pool.hh"
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
-#include <sys/resource.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "core/journal.hh"
 #include "profile/profile_io.hh"
 #include "support/checksum.hh"
-#include "support/flight_recorder.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
 #include "support/telemetry.hh"
@@ -449,14 +447,13 @@ parseWorkerHello(const std::string &body, uint64_t *pid)
 {
     std::string error;
     *pid = 0;
-    return walkBody(
+    bool ok = walkBody(
         body, "vanguard-remote", &error,
         [&](const std::string &key, std::istringstream &ls) {
-            if (key == "pid")
-                ls >> *pid;
-            return true;
+            return key != "pid" || static_cast<bool>(ls >> *pid);
         },
         skipBlob);
+    return ok && *pid != 0;
 }
 
 std::string
@@ -477,9 +474,8 @@ parseWorkerConfig(const std::string &body, WorkerConfig *out)
     bool ok = walkBody(
         body, "vanguard-workerconfig", &error,
         [&](const std::string &key, std::istringstream &ls) {
-            if (key == "heartbeat-ms")
-                ls >> out->leaseMs;
-            return true;
+            return key != "heartbeat-ms" ||
+                   static_cast<bool>(ls >> out->leaseMs);
         },
         [&](const std::string &name, std::string &data) {
             if (name == "fault-plan")
@@ -588,9 +584,7 @@ parseLeaseRef(const std::string &body, const char *magic)
     bool ok = walkBody(
         body, magic, &error,
         [&](const std::string &key, std::istringstream &ls) {
-            if (key == "lease")
-                ls >> lease;
-            return true;
+            return key != "lease" || static_cast<bool>(ls >> lease);
         },
         skipBlob);
     return ok ? lease : 0;
@@ -603,593 +597,19 @@ serializeDrain(bool final_drain)
                             kBodyVersion, final_drain ? 1 : 0);
 }
 
-// ---------------------------------------------------------------------
-// Supervisor
-// ---------------------------------------------------------------------
-
-namespace {
-
-std::string
-selfExePath()
+bool
+parseDrain(const std::string &body, bool *final_drain)
 {
-    char buf[4096];
-    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n <= 0)
-        vg_throw(Config,
-                 "cannot resolve this executable's path for worker "
-                 "spawn; set an explicit worker exec path");
-    return std::string(buf, static_cast<size_t>(n));
-}
-
-std::string
-describeWaitStatus(int status)
-{
-    if (WIFSIGNALED(status)) {
-        int sig = WTERMSIG(status);
-        return detail::csprintf("died on signal %d (%s)", sig,
-                                strsignal(sig));
-    }
-    if (WIFEXITED(status))
-        return detail::csprintf("exited with status %d",
-                                WEXITSTATUS(status));
-    return "vanished with unknown wait status";
-}
-
-} // namespace
-
-struct WorkerPool::Slot
-{
-    size_t idx = 0;
-    int pid = -1;
-    int fd = -1;
-    ipc::FrameChannel chan;
-    bool alive = false;
-    bool busy = false;
-    bool everSpawned = false;
-    unsigned spawnFailures = 0;
-};
-
-WorkerPool::WorkerPool(const Options &opts)
-    : opts_(opts), ledger_(opts.quarantineDeaths, opts.restartStormLimit)
-{
-    if (opts_.workers == 0)
-        opts_.workers = 1;
-    if (opts_.execPath.empty())
-        opts_.execPath = selfExePath();
-    if (opts_.faultPlanSpec.empty() && faultinject::armed())
-        opts_.faultPlanSpec = faultPlanSpec(faultinject::currentPlan());
-    if (opts_.metrics != nullptr)
-        opts_.metrics->histogram("engine.worker.job_rtt", workerRttBoundsMs());
-
-    for (unsigned i = 0; i < opts_.workers; ++i) {
-        auto slot = std::make_unique<Slot>();
-        slot->idx = i;
-        slots_.push_back(std::move(slot));
-    }
-    // Eager spawn: surfaces an unrunnable worker binary (bad exec
-    // path, protocol skew) before any job is risked on it. Failures
-    // here are tolerated; execute() retries with backoff.
-    for (auto &slot : slots_) {
-        try {
-            spawnWorker(*slot);
-        } catch (const SimError &e) {
-            vg_warn("worker %zu failed to start: %s", slot->idx,
-                    e.detail().c_str());
-            slot->spawnFailures++;
-            noteLoss("");
-        }
-    }
-}
-
-WorkerPool::~WorkerPool()
-{
-    try {
-        shutdown();
-    } catch (...) {
-        // Destructor boundary: never throw.
-    }
-}
-
-void
-WorkerPool::bumpCounter(const char *name, uint64_t delta)
-{
-    if (opts_.metrics != nullptr)
-        opts_.metrics->counter(name).add(delta);
-}
-
-void
-WorkerPool::spawnWorker(Slot &slot)
-{
-    // Deterministic spawn-fault probe, keyed by a monotonic attempt
-    // ordinal so the pattern is independent of the worker count and a
-    // failed attempt draws fresh on retry (backoff can make progress).
-    uint64_t ordinal;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ordinal = spawnAttempts_++;
-    }
-    {
-        faultinject::Scope scope(
-            workerKillScope(uint64_t{0x5350574e}, ordinal));
-        faultinject::site("worker.spawn", SimError::Kind::Io);
-    }
-
-    int fds[2];
-    ipc::makeSocketPair(fds);
-    char fdarg[16];
-    std::snprintf(fdarg, sizeof(fdarg), "%d", fds[1]);
-    const char *argv[4];
-    argv[0] = opts_.execPath.c_str();
-    argv[1] = "--worker";
-    argv[2] = fdarg;
-    argv[3] = nullptr;
-
-    pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        vg_throw(Io, "fork failed for worker %zu: %s", slot.idx,
-                 std::strerror(errno));
-    }
-    if (pid == 0) {
-        // Child: async-signal-safe calls only between fork and exec.
-        if (opts_.rlimitMb != 0) {
-            struct rlimit rl;
-            rl.rlim_cur = rl.rlim_max =
-                static_cast<rlim_t>(opts_.rlimitMb) << 20;
-            ::setrlimit(RLIMIT_AS, &rl);
-        }
-        if (opts_.rlimitCpuSec != 0) {
-            struct rlimit rl;
-            rl.rlim_cur = rl.rlim_max = opts_.rlimitCpuSec;
-            ::setrlimit(RLIMIT_CPU, &rl);
-        }
-        ::execv(argv[0], const_cast<char *const *>(argv));
-        ::_exit(127);
-    }
-    ::close(fds[1]);
-    {
-        // workerPids() reads these fields concurrently.
-        std::lock_guard<std::mutex> lock(mutex_);
-        slot.pid = pid;
-        slot.fd = fds[0];
-    }
-    slot.chan.reset(fds[0]);
-
-    // Handshake: hello within the deadline, versioned header, then
-    // the config frame (lease length + fault plan).
-    bool hello_ok = false;
-    std::string why;
-    try {
-        ipc::Frame hello;
-        uint64_t hello_pid = 0;
-        ipc::ReadStatus st =
-            slot.chan.read(&hello,
-                           static_cast<int>(opts_.helloTimeoutMs));
-        if (st != ipc::ReadStatus::Ok) {
-            why = st == ipc::ReadStatus::Eof
-                      ? "worker exited before hello"
-                      : "worker hello timed out";
-        } else if (hello.type != ipc::kFrameHello) {
-            why = detail::csprintf("expected hello, got frame '%c'",
-                                   hello.type);
-        } else if (!parseWorkerHello(hello.body, &hello_pid)) {
-            why = "worker hello carries no vanguard-remote header";
-        } else {
-            WorkerConfig cfg;
-            cfg.leaseMs = opts_.heartbeatTimeoutMs;
-            cfg.faultPlan = opts_.faultPlanSpec;
-            ipc::writeFrame(slot.fd, ipc::kFrameConfig,
-                            serializeWorkerConfig(cfg));
-            hello_ok = true;
-        }
-    } catch (const SimError &e) {
-        why = e.detail();
-    }
-    if (!hello_ok) {
-        retireWorker(slot, true);
-        vg_throw(Io, "worker %zu (pid %d) handshake failed: %s",
-                 slot.idx, pid, why.c_str());
-    }
-
-    slot.spawnFailures = 0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        slot.alive = true;
-        if (slot.everSpawned) {
-            stats_.restarts++;
-        } else {
-            stats_.spawns++;
-        }
-    }
-    if (slot.everSpawned)
-        bumpCounter("engine.worker.restarts");
-    slot.everSpawned = true;
-}
-
-std::string
-WorkerPool::retireWorker(Slot &slot, bool sigkill)
-{
-    int pid, fd;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        pid = slot.pid;
-        fd = slot.fd;
-        slot.pid = -1;
-        slot.fd = -1;
-        slot.alive = false;
-    }
-    std::string fate = "could not be reaped";
-    if (pid > 0) {
-        if (sigkill)
-            ::kill(pid, SIGKILL);
-        int status = 0;
-        pid_t r;
-        while ((r = ::waitpid(pid, &status, 0)) < 0 && errno == EINTR) {
-        }
-        if (r == pid)
-            fate = describeWaitStatus(status);
-    }
-    if (fd >= 0)
-        ::close(fd);
-    return fate;
-}
-
-SupervisionLedger::Loss
-WorkerPool::noteLoss(const std::string &job_key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    SupervisionLedger::Loss loss = ledger_.noteLoss(job_key);
-    if (loss.storm)
-        ledger_.markBroken(
-            SimError::Kind::Internal,
-            detail::csprintf("worker restart storm: %u consecutive "
-                             "worker losses with no completed job; "
-                             "breaking the pool",
-                             loss.streak));
-    return loss;
-}
-
-size_t
-WorkerPool::acquireSlot()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    slotFree_.wait(lock, [&] {
-        for (auto &s : slots_)
-            if (!s->busy)
-                return true;
-        return false;
-    });
-    // Prefer a live worker; fall back to a dead slot (respawned by
-    // ensureAlive).
-    for (auto &s : slots_) {
-        if (!s->busy && s->alive) {
-            s->busy = true;
-            return s->idx;
-        }
-    }
-    for (auto &s : slots_) {
-        if (!s->busy) {
-            s->busy = true;
-            return s->idx;
-        }
-    }
-    vg_throw(Invariant, "acquireSlot woke without a free slot");
-}
-
-void
-WorkerPool::releaseSlot(size_t idx)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        slots_[idx]->busy = false;
-    }
-    slotFree_.notify_one();
-}
-
-void
-WorkerPool::ensureAlive(Slot &slot)
-{
-    while (!slot.alive) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ledger_.throwIfBroken();
-        }
-        unsigned delay = opts_.backoff.delayMs(slot.spawnFailures);
-        if (delay != 0)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(delay));
-        try {
-            spawnWorker(slot);
-        } catch (const SimError &e) {
-            slot.spawnFailures++;
-            noteLoss("");
-            vg_warn("worker %zu respawn failed (attempt %u): %s",
-                    slot.idx, slot.spawnFailures, e.detail().c_str());
-        }
-    }
-}
-
-WorkerResult
-WorkerPool::execute(WorkerJob job)
-{
-    job.bindSpecName();
-    const std::string key =
-        job.phase + ":" + std::to_string(job.slot);
-
-    for (;;) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ledger_.throwIfBroken();
-        }
-        size_t idx = acquireSlot();
-        Slot &slot = *slots_[idx];
-
-        try {
-            ensureAlive(slot);
-        } catch (...) {
-            releaseSlot(idx);
-            throw;
-        }
-
-        uint64_t lease;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            job.delivery = ledger_.nextDelivery(key);
-            lease = nextLease_++;
-        }
-
-        // Dispatch. A write failure (real or injected) means the
-        // stream's integrity is unknown: restart the worker and let
-        // the transient Io error reach the runner's retry logic.
-        try {
-            faultinject::site("worker.frame.write",
-                              SimError::Kind::Io);
-            ipc::writeFrame(
-                slot.fd, ipc::kFrameLease,
-                serializeLease(lease, opts_.heartbeatTimeoutMs, job));
-        } catch (const SimError &) {
-            retireWorker(slot, true);
-            noteLoss("");
-            releaseSlot(idx);
-            throw;
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stats_.dataFrames++;
-        }
-        bumpCounter("engine.worker.frames");
-
-        auto t0 = std::chrono::steady_clock::now();
-        bool worker_lost = false;
-        std::string fate;
-        WorkerResult res;
-
-        // Await the result; every received frame re-arms the
-        // heartbeat deadline, so the poll timeout IS the watchdog.
-        for (;;) {
-            ipc::Frame f;
-            ipc::ReadStatus st;
-            try {
-                st = slot.chan.read(
-                    &f, static_cast<int>(opts_.heartbeatTimeoutMs));
-            } catch (const SimError &e) {
-                // CRC mismatch / garbage length: protocol desync.
-                retireWorker(slot, true);
-                worker_lost = true;
-                fate = "protocol desync (" + e.detail() + ")";
-                break;
-            }
-            if (st == ipc::ReadStatus::Timeout) {
-                int pid = slot.pid;
-                retireWorker(slot, true);
-                {
-                    // A hang is a determination about the job, not a
-                    // supervision failure: non-transient, no
-                    // quarantine bookkeeping (the runner will not
-                    // retry it).
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    stats_.heartbeatMisses++;
-                    ledger_.noteCompletion(key);
-                }
-                bumpCounter("engine.worker.heartbeat_misses");
-                flightRecord("error", "worker.heartbeat_miss",
-                             detail::csprintf(
-                                 "pid %d silent past %u ms during %s "
-                                 "job %zu",
-                                 pid, opts_.heartbeatTimeoutMs,
-                                 job.phase.c_str(), job.slot));
-                releaseSlot(idx);
-                vg_throw(Hang,
-                         "worker heartbeat deadline (%u ms) missed; "
-                         "killed worker pid %d during %s job %zu",
-                         opts_.heartbeatTimeoutMs, pid,
-                         job.phase.c_str(), job.slot);
-            }
-            if (st == ipc::ReadStatus::Eof) {
-                fate = retireWorker(slot, false);
-                worker_lost = true;
-                break;
-            }
-            // RENEW and a claim queued while idle are beats.
-            if (f.type == ipc::kFrameRenew || f.type == ipc::kFrameClaim)
-                continue;
-            if (f.type == ipc::kFrameStats) {
-                // Advisory live stats: feed the hub and move on. A
-                // malformed body is dropped, never a desync —
-                // telemetry must not be able to kill a worker.
-                PeerStats ps;
-                if (opts_.telemetry != nullptr &&
-                    parsePeerStats(f.body, &ps)) {
-                    ps.identity = detail::csprintf(
-                        "slot%zu:pid%d", idx, slot.pid);
-                    opts_.telemetry->notePeerStats(ps);
-                }
-                continue;
-            }
-            std::string err;
-            if (f.type == ipc::kFrameResult) {
-                uint64_t settled = 0;
-                std::string bytes;
-                if (parseResultEnvelope(f.body, &settled, &bytes,
-                                        &err) &&
-                    parseWorkerResult(bytes, &res, &err)) {
-                    if (settled == lease)
-                        break;
-                    err = "result for a stale lease";
-                }
-            } else {
-                err = detail::csprintf("frame '%c'", f.type);
-            }
-            retireWorker(slot, true);
-            worker_lost = true;
-            fate = "protocol desync (" + err + ")";
-            break;
-        }
-
-        if (worker_lost) {
-            SupervisionLedger::Loss loss = noteLoss(key);
-            releaseSlot(idx);
-            flightRecord("event", "worker.lost",
-                         detail::csprintf("%s during %s job %zu "
-                                          "(death %u)",
-                                          fate.c_str(),
-                                          job.phase.c_str(), job.slot,
-                                          loss.deaths));
-            if (loss.quarantine) {
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    stats_.quarantinedJobs++;
-                }
-                bumpCounter("engine.worker.quarantined_jobs");
-                flightRecord("error", "worker.quarantine",
-                             detail::csprintf("%s job %zu killed %u "
-                                              "consecutive workers",
-                                              job.phase.c_str(),
-                                              job.slot, loss.deaths));
-                vg_throw(Internal,
-                         "poison job quarantined: %s job %zu killed "
-                         "%u consecutive workers (last worker %s)",
-                         job.phase.c_str(), job.slot, loss.deaths,
-                         fate.c_str());
-            }
-            vg_warn("worker running %s job %zu %s; redelivering "
-                    "(death %u of %u)",
-                    job.phase.c_str(), job.slot, fate.c_str(),
-                    loss.deaths, opts_.quarantineDeaths);
-            continue; // redeliver on a fresh worker
-        }
-
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stats_.dataFrames++;
-            ledger_.noteCompletion(key);
-        }
-        bumpCounter("engine.worker.frames");
-        for (size_t k = 0; k < FaultPlan::kNumKinds; ++k)
-            faultinject::recordRemoteInjections(
-                static_cast<SimError::Kind>(k), res.injected[k]);
-        if (opts_.metrics != nullptr) {
-            auto rtt =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            opts_.metrics
-                ->histogram("engine.worker.job_rtt", workerRttBoundsMs())
-                .observe(static_cast<uint64_t>(rtt));
-        }
-        try {
-            ipc::writeFrame(slot.fd, ipc::kFrameResultAck,
-                            serializeLeaseRef("vanguard-ack", lease));
-        } catch (const SimError &) {
-            // The worker died after reporting; the result stands and
-            // the next dispatch to this slot respawns it.
-            retireWorker(slot, true);
-        }
-        releaseSlot(idx);
-        if (!res.ok)
-            throw SimError(res.kind, res.message);
-        return res;
-    }
-}
-
-void
-WorkerPool::shutdown()
-{
-    std::vector<Slot *> live;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (shutdownDone_)
-            return;
-        shutdownDone_ = true;
-        for (auto &s : slots_)
-            if (s->pid > 0)
-                live.push_back(s.get());
-    }
-
-    // Graceful phase: final DRAIN + exactly one SIGTERM per worker.
-    for (Slot *s : live) {
-        try {
-            ipc::writeFrame(s->fd, ipc::kFrameDrain,
-                            serializeDrain(true));
-        } catch (const SimError &) {
-            // Already dead; the reap below sorts it out.
-        }
-        ::kill(s->pid, SIGTERM);
-    }
-
-    // Bounded reap; SIGKILL stragglers. No zombie survives this.
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(opts_.reapTimeoutMs);
-    std::vector<Slot *> pending = live;
-    while (!pending.empty() &&
-           std::chrono::steady_clock::now() < deadline) {
-        for (size_t i = 0; i < pending.size();) {
-            int status = 0;
-            pid_t r = ::waitpid(pending[i]->pid, &status, WNOHANG);
-            if (r == pending[i]->pid || (r < 0 && errno == ECHILD)) {
-                pending[i]->pid = -1;
-                pending.erase(pending.begin() +
-                              static_cast<long>(i));
-            } else {
-                ++i;
-            }
-        }
-        if (!pending.empty())
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(5));
-    }
-    for (Slot *s : pending) {
-        ::kill(s->pid, SIGKILL);
-        int status = 0;
-        while (::waitpid(s->pid, &status, 0) < 0 && errno == EINTR) {
-        }
-        s->pid = -1;
-    }
-    for (Slot *s : live) {
-        if (s->fd >= 0)
-            ::close(s->fd);
-        s->fd = -1;
-        s->alive = false;
-    }
-}
-
-std::vector<int>
-WorkerPool::workerPids() const
-{
-    std::vector<int> pids;
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &s : slots_)
-        if (s->alive && s->pid > 0)
-            pids.push_back(s->pid);
-    return pids;
-}
-
-WorkerPool::Stats
-WorkerPool::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
+    std::string error;
+    int v = -1;
+    bool ok = walkBody(
+        body, "vanguard-drain", &error,
+        [&](const std::string &key, std::istringstream &ls) {
+            return key != "final" || static_cast<bool>(ls >> v);
+        },
+        skipBlob);
+    *final_drain = v == 1;
+    return ok && (v == 0 || v == 1);
 }
 
 // ---------------------------------------------------------------------
@@ -1563,23 +983,6 @@ claimBody()
     return detail::csprintf("vanguard-claim v%u\n", kBodyVersion);
 }
 
-bool
-isFinalDrain(const std::string &body)
-{
-    std::string error;
-    bool final_drain = false;
-    walkBody(
-        body, "vanguard-drain", &error,
-        [&](const std::string &key, std::istringstream &ls) {
-            int v = 0;
-            if (key == "final" && ls >> v)
-                final_drain = v != 0;
-            return true;
-        },
-        skipBlob);
-    return final_drain;
-}
-
 /**
  * The worker side of the lease protocol over one connected socket:
  * HELLO, apply CONFIG, then CLAIM, run each LEASE while a side thread
@@ -1594,10 +997,12 @@ serveConnection(int fd, uint64_t conn_scope, bool silence_is_loss,
                 JobBodyRunner &runner)
 {
     WorkerConn conn(fd, conn_scope);
+    // A dropped HELLO is a lost frame like any other: wait for the
+    // CONFIG (or the coordinator's goodbye) all the same.
     if (conn.send(ipc::kFrameHello,
                   serializeWorkerHello(
-                      static_cast<uint64_t>(::getpid()))) !=
-        ipc::SendStatus::Ok)
+                      static_cast<uint64_t>(::getpid()))) ==
+        ipc::SendStatus::Disconnected)
         return ConnOutcome::Lost;
 
     // Config must arrive before any claim.
@@ -1653,8 +1058,9 @@ serveConnection(int fd, uint64_t conn_scope, bool silence_is_loss,
                     return ConnOutcome::Lost; // partitioned: reconnect
                 continue;
             }
+            bool final_drain = false;
             if (f.type == ipc::kFrameDrain) {
-                if (isFinalDrain(f.body))
+                if (parseDrain(f.body, &final_drain) && final_drain)
                     return ConnOutcome::Drained;
                 continue; // soft drain: stay connected, stop claiming
             }

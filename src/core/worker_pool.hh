@@ -29,14 +29,17 @@
  * CONFIG, then CLAIM -> LEASE -> RENEW... -> RESULT -> ACK until a
  * final DRAIN) once over its inherited socketpair; a `--remote-worker`
  * runs the same loop over TCP and reconnects when the connection
- * drops. Only the supervisors differ: this pool dispatches one job per
- * slot and blocks on it, the coordinator queues offers and polls.
+ * drops. One lease dispatcher (core/coordinator.cc) serves both
+ * supervisors: this pool is that dispatcher over socketpair children
+ * it spawns, the coordinator is the same dispatcher over TCP peers
+ * that dial in. What differs is fixed per peer when it is created
+ * (see coordinator.hh), not configured.
  *
- * Supervision policy (all owned here, not by the runner):
+ * Supervision policy (all owned by the dispatcher, not the runner):
  *   - heartbeats: workers RENEW every deadline/4 while a job runs; a
- *     silent worker past the deadline is SIGKILLed and the in-flight
- *     job fails with SimError(Hang), mirroring the in-process
- *     watchdog taxonomy;
+ *     local worker silent past the deadline is SIGKILLed and the
+ *     in-flight job fails with SimError(Hang), mirroring the
+ *     in-process watchdog taxonomy;
  *   - exit triage: signal death, nonzero exit, and protocol desync
  *     each map into the SimError taxonomy with the worker's fate in
  *     the message;
@@ -60,12 +63,10 @@
 #define VANGUARD_CORE_WORKER_POOL_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -79,6 +80,7 @@
 namespace vanguard {
 
 class TelemetryHub;
+struct Dispatcher;
 
 /**
  * Exponential backoff schedule for worker restarts. Pure function of
@@ -299,7 +301,7 @@ bool parseWorkerResult(const std::string &body, WorkerResult *out,
  * SimError(Io), as every versioned format does.
  */
 
-/** HELLO: "vanguard-remote v1" and the worker's pid. */
+/** HELLO: "vanguard-remote v1" and the worker's pid (never 0). */
 std::string serializeWorkerHello(uint64_t pid);
 bool parseWorkerHello(const std::string &body, uint64_t *pid);
 
@@ -332,6 +334,7 @@ uint64_t parseLeaseRef(const std::string &body, const char *magic);
 
 /** DRAIN: a final drain tells the worker to exit. */
 std::string serializeDrain(bool final_drain);
+bool parseDrain(const std::string &body, bool *final_drain);
 
 /**
  * Per-process execution of one self-contained job body, the core of
@@ -377,33 +380,78 @@ class JobBodyRunner
     std::atomic<uint64_t> instsRetired_{0};
 };
 
+/**
+ * Raised by WorkerPool::execute and Coordinator::execute for offers
+ * discarded by a SIGINT/SIGTERM drain (or a shutdown) before any
+ * worker finished them. Deliberately not a SimError: a discarded job
+ * did not run and must leave no journal record, no failure-table
+ * entry, no retry — exactly like a queued thread-pool job discarded
+ * by the in-process drain.
+ */
+struct JobDiscarded : std::exception
+{
+    const char *
+    what() const noexcept override
+    {
+        return "job discarded by shutdown drain before lease";
+    }
+};
+
+/** The options both supervisors share (WorkerPool::Options and
+ *  Coordinator::Options extend it). */
+struct DispatchOptions
+{
+    unsigned quarantineDeaths = 3;  ///< K consecutive lost leases
+    unsigned restartStormLimit = 10;
+    BackoffPolicy backoff{};
+    /** Job fault plan forwarded to workers ("" = the ambient armed
+     *  plan, if any). */
+    std::string faultPlanSpec;
+    /** Registry for the engine.worker.* / engine.net.* instruments
+     *  (optional). */
+    MetricsRegistry *metrics = nullptr;
+    /** Live telemetry sink: worker STATS frames feed it, and the lease
+     *  table is its /progress source. Advisory only (optional). */
+    TelemetryHub *telemetry = nullptr;
+};
+
+/** Dispatcher counters. Local peers (WorkerPool) fill the first
+ *  group, TCP peers (Coordinator) the second; quarantinedJobs counts
+ *  both. */
+struct DispatchStats
+{
+    uint64_t spawns = 0;            ///< successful worker spawns
+    uint64_t restarts = 0;          ///< spawns after a loss
+    uint64_t heartbeatMisses = 0;   ///< leases expired into a Hang
+    uint64_t quarantinedJobs = 0;
+    uint64_t dataFrames = 0;        ///< LEASE + RESULT frames
+
+    uint64_t leasesGranted = 0;
+    uint64_t leasesExpired = 0;     ///< expired and re-granted
+    uint64_t leasesRegranted = 0;
+    uint64_t reconnects = 0;
+    uint64_t duplicateResults = 0;
+    uint64_t frames = 0;            ///< sent + received
+};
+
 class WorkerPool
 {
   public:
-    struct Options
+    struct Options : DispatchOptions
     {
         unsigned workers = 1;
         /** Binary to exec ("" = this executable, via /proc/self/exe);
          *  must understand `--worker <fd>`. */
         std::string execPath;
-        unsigned heartbeatTimeoutMs = 10000;
+        unsigned heartbeatTimeoutMs = 10000; ///< the local lease length
         unsigned helloTimeoutMs = 10000;
         unsigned rlimitMb = 0;          ///< RLIMIT_AS cap (0 = none)
         unsigned rlimitCpuSec = 0;      ///< RLIMIT_CPU cap (0 = none)
-        unsigned quarantineDeaths = 3;  ///< K consecutive deaths
-        unsigned restartStormLimit = 10;
         unsigned reapTimeoutMs = 2000;  ///< graceful-drain deadline
-        BackoffPolicy backoff{};
-        /** Fault plan forwarded to workers ("" = the ambient armed
-         *  plan, if any). */
-        std::string faultPlanSpec;
-        /** Registry for the engine.worker.* instruments (optional). */
-        MetricsRegistry *metrics = nullptr;
-        /** Live telemetry sink for worker STATS frames (optional;
-         *  advisory only — never touches the registry merges). */
-        TelemetryHub *telemetry = nullptr;
     };
 
+    /** Spawns and handshakes every worker before returning (a failed
+     *  spawn is retried with backoff), then starts the dispatcher. */
     explicit WorkerPool(const Options &opts);
     ~WorkerPool();
 
@@ -414,12 +462,12 @@ class WorkerPool
      * Run one job body out of process (blocking; thread-safe; called
      * from pool worker threads). Returns only an ok result. Worker-
      * reported failures rethrow as SimError(kind, message) with the
-     * worker's message verbatim; worker deaths retry internally on a
-     * fresh worker until the job completes or kills quarantineDeaths
-     * consecutive workers (then SimError(Internal) quarantine);
-     * heartbeat expiry SIGKILLs the worker and throws SimError(Hang).
-     * Sends one LEASE, counts RENEW, STATS and CLAIM frames as beats,
-     * and ACKs the RESULT before returning.
+     * worker's message verbatim; worker deaths redeliver the job to a
+     * fresh worker until it completes or kills quarantineDeaths
+     * consecutive workers (then SimError(Internal) quarantine); lease
+     * expiry SIGKILLs the worker and throws SimError(Hang); a failed
+     * LEASE send (real or the injected worker.frame.write fault)
+     * throws the transient SimError(Io) the runner retries.
      */
     WorkerResult execute(WorkerJob job);
 
@@ -433,38 +481,11 @@ class WorkerPool
     /** Live worker pids (test hooks: SIGSTOP/SIGKILL drills). */
     std::vector<int> workerPids() const;
 
-    struct Stats
-    {
-        uint64_t spawns = 0;            ///< successful worker spawns
-        uint64_t restarts = 0;          ///< spawns after a loss
-        uint64_t heartbeatMisses = 0;
-        uint64_t quarantinedJobs = 0;
-        uint64_t dataFrames = 0;        ///< LEASE + RESULT frames
-    };
+    using Stats = DispatchStats;
     Stats stats() const;
 
   private:
-    struct Slot;
-
-    size_t acquireSlot();
-    void releaseSlot(size_t idx);
-    void ensureAlive(Slot &slot);
-    void spawnWorker(Slot &slot);
-    /** SIGKILL (if asked), reap and disconnect the slot's worker;
-     *  returns how it ended. */
-    std::string retireWorker(Slot &slot, bool sigkill);
-    SupervisionLedger::Loss noteLoss(const std::string &job_key);
-    void bumpCounter(const char *name, uint64_t delta = 1);
-
-    Options opts_;
-    mutable std::mutex mutex_;
-    std::condition_variable slotFree_;
-    std::vector<std::unique_ptr<Slot>> slots_;
-    SupervisionLedger ledger_;       ///< under mutex_
-    uint64_t spawnAttempts_ = 0; ///< worker.spawn draw ordinal
-    uint64_t nextLease_ = 1;
-    bool shutdownDone_ = false;
-    Stats stats_;
+    std::unique_ptr<Dispatcher> impl_;
 };
 
 /**

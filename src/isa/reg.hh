@@ -50,9 +50,11 @@ regName(RegId r)
 {
     if (r == kNoReg)
         return "-";
-    if (isArchReg(r))
-        return "r" + std::to_string(r);
-    return "t" + std::to_string(r - kNumArchRegs);
+    // Appended to a one-character string: GCC 12 -O3 falsely flags
+    // operator+(const char *, std::string &&) under -Wrestrict.
+    std::string name(1, isArchReg(r) ? 'r' : 't');
+    name += std::to_string(isArchReg(r) ? r : r - kNumArchRegs);
+    return name;
 }
 
 } // namespace vanguard

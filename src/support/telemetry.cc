@@ -119,21 +119,24 @@ parsePeerStats(const std::string &body, PeerStats *out)
         std::istringstream ls(line);
         std::string key;
         ls >> key;
+        bool field_ok = true;
         if (key == "pid")
-            ls >> out->pid;
+            field_ok = static_cast<bool>(ls >> out->pid);
         else if (key == "phase")
             ls >> out->phase;
         else if (key == "jobs-done")
-            ls >> out->jobsDone;
+            field_ok = static_cast<bool>(ls >> out->jobsDone);
         else if (key == "insts")
-            ls >> out->instsRetired;
+            field_ok = static_cast<bool>(ls >> out->instsRetired);
         else if (key == "cache-hits")
-            ls >> out->cacheHits;
+            field_ok = static_cast<bool>(ls >> out->cacheHits);
         else if (key == "cache-misses")
-            ls >> out->cacheMisses;
+            field_ok = static_cast<bool>(ls >> out->cacheMisses);
         else if (key == "lease")
             ls >> out->lease;
         // Unknown keys: a newer peer's extra fields. Skip.
+        if (!field_ok)
+            return false; // a numeric field that does not parse
     }
     return true;
 }

@@ -218,10 +218,17 @@ buildKernel(const BenchmarkSpec &spec, uint64_t input_seed)
     std::vector<BlockId> a_blocks(num_hammocks);
     std::vector<BlockId> t_blocks(num_hammocks);
     std::vector<BlockId> f_blocks(num_hammocks);
+    // Names appended to a one-character string: GCC 12 -O3 falsely
+    // flags operator+(const char *, std::string &&) under -Wrestrict.
+    auto hammockName = [](char part, unsigned h) {
+        std::string name(1, part);
+        name += std::to_string(h);
+        return name;
+    };
     for (unsigned h = 0; h < num_hammocks; ++h) {
-        a_blocks[h] = fn.addBlock("A" + std::to_string(h));
-        t_blocks[h] = fn.addBlock("T" + std::to_string(h));
-        f_blocks[h] = fn.addBlock("F" + std::to_string(h));
+        a_blocks[h] = fn.addBlock(hammockName('A', h));
+        t_blocks[h] = fn.addBlock(hammockName('T', h));
+        f_blocks[h] = fn.addBlock(hammockName('F', h));
     }
     BlockId latch = fn.addBlock("latch");
     std::vector<BlockId> cold_blocks(spec.coldBlocks);

@@ -3,7 +3,9 @@
  * Sweep-fabric frame-layer unit tests (tier1): the TCP transport
  * (listen/accept/connect over loopback), frame integrity over a real
  * socket (torn writes, CRC corruption, slow byte-at-a-time writers,
- * mid-frame disconnects), the FrameChannel buffer-shrink policy, the
+ * mid-frame disconnects), the coordinator's handling of a skewed
+ * HELLO and of a connection in its lame-duck window, the FrameChannel
+ * buffer-shrink policy, the
  * non-blocking drain read the coordinator's service loop uses, the
  * deterministic network-fault draw, and the blob body codec the lease
  * protocol shares with the worker protocol. Everything here is
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -120,6 +123,41 @@ TEST(NetTransport, SkewedHelloCostsOnlyThatPeer)
     EXPECT_EQ(f.type, ipc::kFrameConfig);
     coord.shutdown(); // drains the good peer, so no lame-duck wait
     ::close(good);
+}
+
+TEST(NetTransport, LameDuckDrainsAConnectionBeforeItsHello)
+{
+    // A worker the coordinator has seen, then lost, keeps the port
+    // open for the lame-duck window after shutdown() begins. A client
+    // that connects in that window gets the final DRAIN at once, with
+    // no HELLO of its own: the HELLO may be the frame the net plan
+    // drops.
+    Coordinator coord(Coordinator::Options{});
+    std::string err;
+    ipc::Frame f;
+    int seen = ipc::connectTcp("127.0.0.1", coord.port(), &err);
+    ASSERT_GE(seen, 0) << err;
+    ipc::writeFrame(seen, ipc::kFrameHello, serializeWorkerHello(7));
+    ipc::FrameChannel seen_chan(seen);
+    ASSERT_EQ(seen_chan.read(&f, 5000), ipc::ReadStatus::Ok);
+    EXPECT_EQ(f.type, ipc::kFrameConfig);
+    ::close(seen);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+    std::thread stopper([&coord] { coord.shutdown(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    int late = ipc::connectTcp("127.0.0.1", coord.port(), &err);
+    ASSERT_GE(late, 0) << err;
+    ipc::FrameChannel late_chan(late);
+    ASSERT_EQ(late_chan.read(&f, 2000), ipc::ReadStatus::Ok);
+    EXPECT_EQ(f.type, ipc::kFrameDrain);
+    bool final_drain = false;
+    EXPECT_TRUE(parseDrain(f.body, &final_drain));
+    EXPECT_TRUE(final_drain);
+    // Its HELLO under the lost identity closes the window early.
+    ipc::writeFrame(late, ipc::kFrameHello, serializeWorkerHello(7));
+    stopper.join();
+    ::close(late);
 }
 
 TEST(NetTransport, AcceptTimesOutWithoutAConnection)

@@ -2,8 +2,9 @@
  * @file
  * Worker-pool unit tests (tier1): the ipc frame codec (round-trip,
  * torn frames, CRC corruption, oversize refusal), the worker job /
- * result body codecs with exact hexfloat numeric round-trips and the
- * LEASE / RESULT envelopes around them, the supervision arithmetic
+ * result body codecs with exact hexfloat numeric round-trips, the
+ * LEASE / RESULT envelopes around them and every other lease-protocol
+ * decoder under hostile input, the supervision arithmetic
  * (heartbeat interval, backoff schedule, the loss ledger, kill /
  * heartbeat scope keys), and the deterministic worker fault sites. Everything here is in-process — the end-to-end kill drills
  * live in test_worker_kill.cc.
@@ -20,6 +21,7 @@
 #include "support/checksum.hh"
 #include "support/fault_inject.hh"
 #include "support/ipc.hh"
+#include "support/telemetry.hh"
 #include "workloads/suites.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -400,6 +402,79 @@ TEST(WorkerCodec, JobParseRejectsGarbage)
     EXPECT_THROW(parseResultEnvelope("vanguard-remoteresult v9\n", &id,
                                      &bytes, &err),
                  SimError);
+
+    // The other lease-protocol decoders (HELLO, CONFIG, RENEW/ACK,
+    // DRAIN, STATS) refuse truncated, inflated-length and wrong-header
+    // bodies (false, or lease 0) and a future version by name. A body
+    // without blobs is inflated through a numeric field past its range.
+    const std::string huge = " 99999999999999999999999\n";
+    const std::string huge_blob = "blob x 18446744073709551615\n";
+    const std::string drain = serializeDrain(true);
+
+    uint64_t pid = 0;
+    ASSERT_TRUE(parseWorkerHello(serializeWorkerHello(42), &pid));
+    EXPECT_EQ(pid, 42u);
+    for (const std::string &b :
+         {std::string("vanguard-rem"), std::string("vanguard-remote v1\n"),
+          "vanguard-remote v1\npid" + huge,
+          serializeWorkerHello(42) + huge_blob, drain, std::string()})
+        EXPECT_FALSE(parseWorkerHello(b, &pid)) << b;
+    EXPECT_THROW(parseWorkerHello("vanguard-remote v9\npid 1\n", &pid),
+                 SimError);
+
+    WorkerConfig cfg;
+    cfg.leaseMs = 250;
+    cfg.faultPlan = "io:0.5,seed=3";
+    cfg.netFaultPlan = "hang:0.1,seed=4";
+    const std::string config = serializeWorkerConfig(cfg);
+    WorkerConfig cfg_out;
+    ASSERT_TRUE(parseWorkerConfig(config, &cfg_out));
+    EXPECT_EQ(cfg_out.leaseMs, 250u);
+    EXPECT_EQ(cfg_out.faultPlan, cfg.faultPlan);
+    EXPECT_EQ(cfg_out.netFaultPlan, cfg.netFaultPlan);
+    for (const std::string &b :
+         {config.substr(0, config.size() - 3), inflate(config),
+          "vanguard-workerconfig v1\nheartbeat-ms" + huge, lease,
+          std::string()})
+        EXPECT_FALSE(parseWorkerConfig(b, &cfg_out)) << b;
+    EXPECT_THROW(parseWorkerConfig("vanguard-workerconfig v9\n", &cfg_out),
+                 SimError);
+
+    const std::string renew = serializeLeaseRef("vanguard-renew", 5);
+    EXPECT_EQ(parseLeaseRef(renew, "vanguard-renew"), 5u);
+    for (const std::string &b :
+         {renew.substr(0, renew.size() - 3),
+          "vanguard-renew v1\nlease" + huge, renew + huge_blob,
+          serializeLeaseRef("vanguard-ack", 5), std::string()})
+        EXPECT_EQ(parseLeaseRef(b, "vanguard-renew"), 0u) << b;
+    EXPECT_THROW(parseLeaseRef("vanguard-ack v9\nlease 5\n", "vanguard-ack"),
+                 SimError);
+
+    bool final_drain = false;
+    ASSERT_TRUE(parseDrain(drain, &final_drain));
+    EXPECT_TRUE(final_drain);
+    ASSERT_TRUE(parseDrain(serializeDrain(false), &final_drain));
+    EXPECT_FALSE(final_drain);
+    for (const std::string &b :
+         {drain.substr(0, drain.size() - 3),
+          "vanguard-drain v1\nfinal" + huge, drain + huge_blob, renew,
+          std::string()})
+        EXPECT_FALSE(parseDrain(b, &final_drain)) << b;
+    EXPECT_THROW(parseDrain("vanguard-drain v9\nfinal 1\n", &final_drain),
+                 SimError);
+
+    // STATS is advisory: a future version is dropped, not an error.
+    PeerStats ps;
+    ps.pid = 77;
+    ps.jobsDone = 3;
+    const std::string stats = serializePeerStats(ps);
+    PeerStats ps_out;
+    ASSERT_TRUE(parsePeerStats(stats, &ps_out));
+    EXPECT_EQ(ps_out.pid, 77u);
+    for (const std::string &b :
+         {stats.substr(0, 10), "vanguard-stats v1\njobs-done" + huge,
+          drain, std::string(), std::string("vanguard-stats v9\npid 1\n")})
+        EXPECT_FALSE(parsePeerStats(b, &ps_out)) << b;
 }
 
 TEST(WorkerCodec, ResultRoundTripsOkFailAndInjectedCounts)
